@@ -3,10 +3,8 @@ package doceph
 import (
 	"fmt"
 
-	"doceph/internal/faultinject"
 	"doceph/internal/report"
 	"doceph/internal/sim"
-	"doceph/internal/wire"
 )
 
 // Chaos experiment: both deployments run the same closed-loop write/verify
@@ -16,65 +14,8 @@ import (
 // client timeout/resend, replication retry/abort, scrub repair — and reports
 // throughput dip and recovery time per deployment. Everything runs on
 // virtual time from one seed, so a (seed, plan) pair reproduces bit-identical
-// results (asserted by TestChaosDeterminism).
-
-// Re-exported fault-plan types (the plan DSL lives in internal/faultinject).
-type (
-	// FaultPlan is a named, ordered fault schedule.
-	FaultPlan = faultinject.Plan
-	// FaultEvent is one timed fault of a plan.
-	FaultEvent = faultinject.Event
-	// FaultKind enumerates the injectable fault classes.
-	FaultKind = faultinject.Kind
-)
-
-// Fault kinds, re-exported for plan construction.
-const (
-	FaultDrop       = faultinject.Drop
-	FaultLatency    = faultinject.Latency
-	FaultBandwidth  = faultinject.Bandwidth
-	FaultPartition  = faultinject.Partition
-	FaultSlowIO     = faultinject.SlowIO
-	FaultWriteError = faultinject.WriteError
-	FaultBitRot     = faultinject.BitRot
-	FaultDMAError   = faultinject.DMAError
-	FaultCommStall  = faultinject.CommStall
-	FaultOSDCrash   = faultinject.OSDCrash
-)
-
-// ChaosOptions controls the chaos run.
-type ChaosOptions struct {
-	// Duration is the workload length (fault windows scale with it).
-	Duration Duration
-	// Threads is the number of closed-loop client workers.
-	Threads int
-	// ObjectBytes is the write size.
-	ObjectBytes int64
-	// Seed seeds both clusters and every probabilistic fault draw.
-	Seed int64
-	// VerifyEvery makes each worker read back one of its own objects after
-	// every VerifyEvery writes (inline integrity checking under faults).
-	VerifyEvery int
-}
-
-func (o ChaosOptions) withDefaults() ChaosOptions {
-	if o.Duration == 0 {
-		o.Duration = 60 * Second
-	}
-	if o.Threads == 0 {
-		o.Threads = 8
-	}
-	if o.ObjectBytes == 0 {
-		o.ObjectBytes = 1 << 20
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.VerifyEvery == 0 {
-		o.VerifyEvery = 4
-	}
-	return o
-}
+// results (asserted by TestChaosDeterminism and pinned by
+// testdata/golden_chaos.txt).
 
 // DefaultChaosPlan builds the standard mixed fault schedule, with windows
 // placed at fixed fractions of d so the same shape works for quick and full
@@ -96,279 +37,33 @@ func DefaultChaosPlan(d Duration) FaultPlan {
 	}}
 }
 
-// ChaosModeResult is one deployment's behaviour under the fault plan.
-type ChaosModeResult struct {
-	Mode string
-
-	// Workload outcome: every op either succeeded (possibly after client
-	// retries) or returned a typed error within its deadline — never hung.
-	Ops    int64
-	Errors int64
-
-	// Client robustness counters.
-	Retries, Timeouts, Redirects, StaleReplies, MapRefreshes int64
-	// Messenger/fabric counters (summed over all messengers).
-	SessionResets, Redeliveries, DroppedFrames int64
-	// OSD replication watchdog counters.
-	RepRetries, RepAborts int64
-	// Scrub outcome after the run.
-	ScrubErrors, ScrubRepairs int64
-	// Injected-fault ledger.
-	InjectedEvents, BitRotObjects, InjectedWriteErrors, DMAErrors int64
-
-	// Integrity: reads verified against the writer's CRC32C, inline during
-	// the faults plus a full post-run pass over every surviving object.
-	IntegrityChecked, IntegrityOK int64
-
-	// Per-second write throughput over the run.
-	MBps []float64
-	// CleanMBps averages the seconds outside every fault window.
-	CleanMBps float64
-	// DipPct is the worst in-window second relative to CleanMBps
-	// (100 = no dip, 0 = full stall).
-	DipPct float64
-	// RecoverySeconds is how long after the last fault window closed the
-	// throughput first reached 80% of CleanMBps again (-1 = never).
-	RecoverySeconds float64
-}
-
-// ChaosResult compares both deployments under the identical plan.
-type ChaosResult struct {
-	PlanName string
-	Seed     int64
-	Baseline ChaosModeResult
-	DoCeph   ChaosModeResult
-}
-
 // RunChaos executes the chaos workload on both deployments under plan (nil
-// selects DefaultChaosPlan). The two runs use separate clusters built from
-// the same seed, so they experience the identical fault schedule.
-func RunChaos(opts ChaosOptions, plan *FaultPlan) (ChaosResult, error) {
+// selects DefaultChaosPlan). Before the final verify pass every PG is
+// scrubbed, repairing the injected bit-rot.
+func RunChaos(opts FaultOptions, plan *FaultPlan) (FaultResult, error) {
 	opts = opts.withDefaults()
 	pl := DefaultChaosPlan(opts.Duration)
 	if plan != nil {
 		pl = *plan
 	}
-	out := ChaosResult{PlanName: pl.Name, Seed: opts.Seed}
-	for _, m := range []struct {
-		mode Mode
-		dst  *ChaosModeResult
-	}{{Baseline, &out.Baseline}, {DoCeph, &out.DoCeph}} {
-		r, err := runChaosMode(m.mode, opts, pl)
-		if err != nil {
-			return out, fmt.Errorf("chaos %v: %w", m.mode, err)
-		}
-		*m.dst = r
-	}
-	return out, nil
+	return runFaultPair("chaos", opts, pl, func(mode Mode) ClusterConfig {
+		return ClusterConfig{Mode: mode, Seed: opts.Seed}
+	}, scrubAll)
 }
 
-func runChaosMode(mode Mode, opts ChaosOptions, plan FaultPlan) (ChaosModeResult, error) {
-	cl := NewCluster(ClusterConfig{Mode: mode, Seed: opts.Seed})
-	defer cl.Shutdown()
-	res := ChaosModeResult{Mode: mode.String()}
-
-	inj := faultinject.New(cl.Env, cl.FaultTargets())
-	if err := inj.Run(plan); err != nil {
-		return res, fmt.Errorf("fault plan rejected: %w", err)
-	}
-
-	payload := make([]byte, opts.ObjectBytes)
-	for i := range payload {
-		payload[i] = byte(i * 2654435761)
-	}
-	wantCRC := wire.FromBytes(payload).CRC32C()
-
-	var (
-		stopped  bool
-		perSecBy []int64
-		written  = make([][]string, opts.Threads)
-	)
-	start := cl.Env.Now()
-	record := func(end sim.Time, bytes int64) {
-		sec := int(end.Sub(start) / sim.Duration(sim.Second))
-		for len(perSecBy) <= sec {
-			perSecBy = append(perSecBy, 0)
-		}
-		perSecBy[sec] += bytes
-	}
-	verify := func(p *sim.Proc, obj string) {
-		bl, err := cl.Client.Read(p, obj, 0, 0)
-		if err != nil {
-			// A fault window can make the read itself fail; that is an
-			// availability error, not an integrity violation.
-			res.Errors++
-			return
-		}
-		res.IntegrityChecked++
-		if bl.CRC32C() == wantCRC {
-			res.IntegrityOK++
-		}
-	}
-
-	workersDone := 0
-	for w := 0; w < opts.Threads; w++ {
-		worker := w
-		cl.Env.Spawn(fmt.Sprintf("chaos-worker-%d", w), func(p *sim.Proc) {
-			p.SetThread(sim.NewThread(fmt.Sprintf("chaos-%d", worker), "client"))
-			defer func() { workersDone++ }()
-			for i := 0; !stopped; i++ {
-				obj := fmt.Sprintf("chaos_w%d_%d", worker, i)
-				res.Ops++
-				if err := cl.Client.Write(p, obj, wire.FromBytes(payload)); err != nil {
-					// Typed error within the op deadline — the op did not
-					// hang, the workload carries on.
-					res.Errors++
-					continue
-				}
-				written[worker] = append(written[worker], obj)
-				record(p.Now(), opts.ObjectBytes)
-				if n := len(written[worker]); n > 0 && n%opts.VerifyEvery == 0 {
-					pick := written[worker][cl.Env.Rand().Intn(n)]
-					res.Ops++
-					verify(p, pick)
-				}
-			}
-		})
-	}
-	cl.Env.Spawn("chaos-controller", func(p *sim.Proc) {
-		p.Wait(opts.Duration)
-		stopped = true
-	})
-	for !stopped {
-		if err := cl.Env.RunUntil(cl.Env.Now().Add(sim.Second)); err != nil {
-			return res, err
-		}
-	}
-	// Drain in-flight ops: workers check `stopped` only between ops, so one
-	// op deadline bounds the tail.
-	for workersDone < opts.Threads {
-		if err := cl.Env.RunUntil(cl.Env.Now().Add(sim.Second)); err != nil {
-			return res, err
-		}
-	}
-
-	// Post-run: scrub every PG (repairing injected bit-rot), then verify
-	// every object the workload managed to write.
-	verifyDone := false
-	cl.Env.Spawn("chaos-verify", func(p *sim.Proc) {
-		p.SetThread(sim.NewThread("chaos-verify", "client"))
-		var scrubs []*sim.Event
-		for _, n := range cl.Nodes {
-			scrubs = append(scrubs, n.OSD.ScrubNow())
-		}
-		for _, ev := range scrubs {
-			ev.Wait(p)
-		}
-		for _, objs := range written {
-			for _, obj := range objs {
-				verify(p, obj)
-			}
-		}
-		verifyDone = true
-	})
-	for !verifyDone {
-		if err := cl.Env.RunUntil(cl.Env.Now().Add(5 * sim.Second)); err != nil {
-			return res, err
-		}
-	}
-
-	// Collect counters.
-	cs := cl.Client.Stats()
-	res.Retries, res.Timeouts, res.Redirects = cs.Retries, cs.Timeouts, cs.Redirects
-	res.StaleReplies, res.MapRefreshes = cs.StaleReplies, cs.MapRefreshes
-	res.DroppedFrames = cl.Fabric.DroppedFrames()
+// scrubAll scrubs every PG on every OSD and waits for all of them.
+func scrubAll(p *sim.Proc, cl *Cluster) {
+	var scrubs []*sim.Event
 	for _, n := range cl.Nodes {
-		ms := n.OSD.Stats()
-		res.RepRetries += ms.RepRetries
-		res.RepAborts += ms.RepAborts
-		res.ScrubErrors += ms.ScrubErrors
-		res.ScrubRepairs += ms.ScrubRepairs
-		res.InjectedWriteErrors += n.Store.Stats().InjectedErrors
-		if n.Bridge != nil {
-			res.DMAErrors += n.Bridge.EngUp.Stats().Errors + n.Bridge.EngDown.Stats().Errors
-		}
+		scrubs = append(scrubs, n.OSD.ScrubNow())
 	}
-	for _, m := range cl.Registry.All() {
-		st := m.Stats()
-		res.SessionResets += st.SessionResets
-		res.Redeliveries += st.Redeliveries
+	for _, ev := range scrubs {
+		ev.Wait(p)
 	}
-	for _, c := range inj.Counters().Snapshot() {
-		if c.Name == "bit_rot_objects" {
-			res.BitRotObjects = c.Value
-		} else {
-			res.InjectedEvents += c.Value
-		}
-	}
-
-	// Throughput series + dip/recovery against the plan's fault windows.
-	for _, b := range perSecBy {
-		res.MBps = append(res.MBps, float64(b)/1e6)
-	}
-	res.CleanMBps, res.DipPct, res.RecoverySeconds = chaosDipRecovery(res.MBps, plan)
-	return res, nil
-}
-
-// chaosDipRecovery computes the clean-second mean, the worst in-window
-// second relative to it, and the time from the last window's close until
-// throughput is back within 80% of the clean mean.
-func chaosDipRecovery(mbps []float64, plan FaultPlan) (clean, dipPct, recovery float64) {
-	type window struct{ from, to int }
-	var windows []window
-	lastEnd := 0
-	for _, ev := range plan.Events {
-		from := int(ev.At / sim.Duration(sim.Second))
-		to := from
-		if ev.Duration > 0 {
-			to = int((ev.At + ev.Duration) / sim.Duration(sim.Second))
-		}
-		windows = append(windows, window{from, to})
-		if to > lastEnd {
-			lastEnd = to
-		}
-	}
-	inWindow := func(sec int) bool {
-		for _, w := range windows {
-			if sec >= w.from && sec <= w.to {
-				return true
-			}
-		}
-		return false
-	}
-	var sum float64
-	var n int
-	for sec, v := range mbps {
-		if !inWindow(sec) {
-			sum += v
-			n++
-		}
-	}
-	if n > 0 {
-		clean = sum / float64(n)
-	}
-	dip := clean
-	for sec, v := range mbps {
-		if inWindow(sec) && v < dip {
-			dip = v
-		}
-	}
-	dipPct = 100
-	if clean > 0 {
-		dipPct = dip / clean * 100
-	}
-	recovery = -1
-	for sec := lastEnd + 1; sec < len(mbps); sec++ {
-		if mbps[sec] >= 0.8*clean {
-			recovery = float64(sec - lastEnd)
-			break
-		}
-	}
-	return clean, dipPct, recovery
 }
 
 // ChaosTable renders the comparison.
-func ChaosTable(r ChaosResult) *report.Table {
+func ChaosTable(r FaultResult) *report.Table {
 	t := &report.Table{
 		Title:  fmt.Sprintf("Chaos: plan %q, seed %d — Baseline vs DoCeph", r.PlanName, r.Seed),
 		Header: []string{"metric", "Baseline", "DoCeph"},

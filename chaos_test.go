@@ -1,14 +1,19 @@
 package doceph
 
 import (
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
+
+	"doceph/internal/report"
 )
 
 // chaosOpts keeps the chaos runs CI-sized: the default plan scales its
 // windows to the duration, so the shape is preserved.
-func chaosOpts() ChaosOptions {
-	return ChaosOptions{Duration: 30 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 42}
+func chaosOpts() FaultOptions {
+	return FaultOptions{Duration: 30 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 42}
 }
 
 // TestChaosRunCompletes is the headline robustness check: under the full
@@ -20,7 +25,7 @@ func TestChaosRunCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []ChaosModeResult{r.Baseline, r.DoCeph} {
+	for _, m := range []FaultModeResult{r.Baseline, r.DoCeph} {
 		if m.Ops == 0 {
 			t.Fatalf("%s: no ops issued", m.Mode)
 		}
@@ -56,7 +61,7 @@ func TestChaosRunCompletes(t *testing.T) {
 // TestChaosDeterminism asserts the reproducibility contract: the same seed
 // and the same plan produce byte-identical results across two full runs.
 func TestChaosDeterminism(t *testing.T) {
-	opts := ChaosOptions{Duration: 12 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 7}
+	opts := FaultOptions{Duration: 12 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 7}
 	a, err := RunChaos(opts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -67,5 +72,43 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed + plan diverged:\nrun1: %+v\nrun2: %+v", a, b)
+	}
+	checkFaultGolden(t, "testdata/golden_chaos.txt", ChaosTable(a), a.Baseline.MBps, a.DoCeph.MBps)
+}
+
+// checkFaultGolden pins a fault experiment's rendered table plus both
+// deployments' per-second throughput series against a text golden file, so
+// the results stay fixed from one change to the next, not just run to run.
+// Regenerate only for an intentional model change:
+//
+//	go test -run 'TestChaosDeterminism|TestSelfHealDeterminism' -update-golden .
+func checkFaultGolden(t *testing.T, path string, tbl *report.Table, baseMBps, docephMBps []float64) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(tbl.String())
+	for _, s := range []struct {
+		mode string
+		mbps []float64
+	}{{"Baseline", baseMBps}, {"DoCeph", docephMBps}} {
+		fmt.Fprintf(&b, "%s MB/s per second:", s.mode)
+		for _, v := range s.mbps {
+			fmt.Fprintf(&b, " %v", v)
+		}
+		b.WriteString("\n")
+	}
+	got := b.String()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s diverged from golden:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"doceph"
+	"doceph/internal/perf"
 )
 
 func main() {
@@ -36,12 +37,6 @@ func main() {
 	dmaQueues := flag.Int("dma-queues", 0, "DPU DMA engine queues on DoCeph arms (0 = default 1, the serial engine)")
 	opShards := flag.Int("op-shards", 0, "OSD op-queue shards (0 = default 1)")
 	msgrLanes := flag.Int("msgr-lanes", 0, "messenger lanes per connection (0 = follow -dma-queues)")
-	minSize := flag.Int("min-size", 0, "selfheal: write-quorum floor, PGs accept degraded writes down to this many replicas (0 = experiment default 1)")
-	recoveryMaxPGs := flag.Int("recovery-max-pgs", 0, "selfheal: concurrent backfill reservations per OSD (0 = experiment default 2)")
-	recoveryBps := flag.Float64("recovery-bps", 0, "selfheal: recovery bandwidth budget per OSD in bytes/s (0 = experiment default 64e6)")
-	dpuBreaker := flag.Bool("dpu-breaker", true, "selfheal: enable the DPU-offload circuit breaker (host-path failover)")
-	dpuBreakerThreshold := flag.Int("dpu-breaker-threshold", 0, "selfheal: DMA failures inside the window that trip the breaker (0 = default)")
-	dpuBreakerOpenMs := flag.Int64("dpu-breaker-open-ms", 0, "selfheal: breaker open timeout before probing, in ms (0 = duration-scaled default)")
 	simWorkers := flag.String("sim-workers", "", "scaleout/scaleout128: comma-separated parallel kernel worker counts to compare (default 1,2,4,8)")
 	flag.Parse()
 
@@ -63,6 +58,7 @@ func main() {
 	opts.DMAQueues = *dmaQueues
 	opts.OpShards = *opShards
 	opts.MsgrLanes = *msgrLanes
+	fopts := doceph.FaultOptions{Duration: opts.Duration, Threads: opts.Threads, Seed: opts.Seed}
 
 	// -trace alone means "just the traced run": keep the full sweep only if
 	// the user also asked for a specific experiment.
@@ -208,27 +204,38 @@ func main() {
 		fmt.Println(doceph.ScaleTable(rows))
 	}
 
-	// Scaleout is opt-in (not part of "all"): it exercises the partitioned
-	// parallel event kernel on the 32-OSD multi-rack cluster and compares
-	// wall-clock throughput across kernel worker counts; the simulated
-	// results are asserted bit-identical across all of them.
-	if strings.EqualFold(*exp, "scaleout") {
-		fmt.Println("running partitioned scale-out (8 racks x 4 OSDs, parallel kernel)...")
-		sopts := doceph.ScaleOutOptions{Seed: opts.Seed}
-		if *seconds > 0 {
-			sopts.Duration = doceph.Duration(*seconds) * doceph.Second
-		} else if *quick {
-			sopts.Duration = doceph.Second
-			sopts.Warmup = 250 * doceph.Millisecond
+	// Scaleout and scaleout128 are opt-in (not part of "all"): two presets
+	// of the partitioned scale-out runner. Each runs its arms on the
+	// parallel event kernel and re-runs one arm at every -sim-workers count,
+	// failing unless the full simulated result is byte-identical across
+	// counts; only wall-clock throughput may move.
+	for _, p := range []struct {
+		name, banner string
+		quick        doceph.Duration
+		preset       func(seed int64, window, warmup doceph.Duration) doceph.ScaleOutOptions
+	}{
+		{"scaleout", "running partitioned scale-out (8 racks x 4 OSDs, parallel kernel)...",
+			doceph.Second, doceph.ScaleOut32},
+		{"scaleout128", "running 128-OSD scale-out (16 racks x 8 OSDs, popularity x balance-reads)...",
+			500 * doceph.Millisecond, doceph.ScaleOut128},
+	} {
+		if !strings.EqualFold(*exp, p.name) {
+			continue
 		}
+		fmt.Println(p.banner)
+		var window, warmup doceph.Duration
+		if *seconds > 0 {
+			window = doceph.Duration(*seconds) * doceph.Second
+		} else if *quick {
+			window, warmup = p.quick, 250*doceph.Millisecond
+		}
+		sopts := p.preset(opts.Seed, window, warmup)
 		if *simWorkers != "" {
-			for _, part := range strings.Split(*simWorkers, ",") {
-				var w int
-				if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &w); err != nil || w <= 0 {
-					fail(fmt.Errorf("bad -sim-workers entry %q", part))
-				}
-				sopts.Workers = append(sopts.Workers, w)
+			counts, err := perf.ParseWorkerList(*simWorkers)
+			if err != nil {
+				fail(err)
 			}
+			sopts.Workers = counts
 		}
 		rows, err := doceph.RunScaleOut(sopts)
 		if err != nil {
@@ -237,45 +244,11 @@ func main() {
 		fmt.Println(doceph.ScaleOutTable(rows))
 	}
 
-	// Scaleout128 is opt-in (not part of "all"): the 128-OSD, 16-rack CRUSH
-	// cluster under uniform vs Zipf vs hotspot popularity x balance-reads,
-	// with imbalance metrics per arm and a worker-count determinism sweep on
-	// the Zipf arm.
-	if strings.EqualFold(*exp, "scaleout128") {
-		fmt.Println("running 128-OSD scale-out (16 racks x 8 OSDs, popularity x balance-reads)...")
-		sopts := doceph.ScaleOut128Options{Seed: opts.Seed}
-		if *seconds > 0 {
-			sopts.Duration = doceph.Duration(*seconds) * doceph.Second
-		} else if *quick {
-			sopts.Duration = 500 * doceph.Millisecond
-			sopts.Warmup = 250 * doceph.Millisecond
-		}
-		if *simWorkers != "" {
-			for _, part := range strings.Split(*simWorkers, ",") {
-				var w int
-				if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &w); err != nil || w <= 0 {
-					fail(fmt.Errorf("bad -sim-workers entry %q", part))
-				}
-				sopts.Workers = append(sopts.Workers, w)
-			}
-		}
-		rows, err := doceph.RunScaleOut128(sopts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.ScaleOut128Table(rows))
-	}
-
 	// Chaos is opt-in (not part of "all"): it is a robustness experiment,
 	// not a paper figure.
 	if strings.EqualFold(*exp, "chaos") {
 		fmt.Println("running chaos experiment (fault plan, baseline vs DoCeph)...")
-		copts := doceph.ChaosOptions{
-			Duration: opts.Duration,
-			Threads:  opts.Threads,
-			Seed:     opts.Seed,
-		}
-		r, err := doceph.RunChaos(copts, nil)
+		r, err := doceph.RunChaos(fopts, nil)
 		if err != nil {
 			fail(err)
 		}
@@ -288,33 +261,13 @@ func main() {
 	// breaker x QoS on the DoCeph arm.
 	if strings.EqualFold(*exp, "selfheal") {
 		fmt.Println("running self-healing experiment (OSD crash + DPU fault, baseline vs DoCeph)...")
-		sopts := doceph.SelfHealOptions{
-			Duration:       opts.Duration,
-			Threads:        opts.Threads,
-			Seed:           opts.Seed,
-			MinSize:        *minSize,
-			RecoveryMaxPGs: *recoveryMaxPGs,
-			RecoveryBps:    *recoveryBps,
-			DisableBreaker: !*dpuBreaker,
-		}
-		if *dpuBreakerThreshold > 0 || *dpuBreakerOpenMs > 0 {
-			b := doceph.DefaultBreakerConfig()
-			b.Enable = true
-			if *dpuBreakerThreshold > 0 {
-				b.FailureThreshold = *dpuBreakerThreshold
-			}
-			if *dpuBreakerOpenMs > 0 {
-				b.OpenTimeout = doceph.Duration(*dpuBreakerOpenMs) * doceph.Millisecond
-			}
-			sopts.Breaker = b
-		}
-		r, err := doceph.RunSelfHeal(sopts, nil)
+		r, err := doceph.RunSelfHeal(fopts, nil)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Println(doceph.SelfHealTable(r))
 		fmt.Println("running self-healing ablation (DoCeph, breaker x QoS)...")
-		rows, err := doceph.RunSelfHealAblation(sopts)
+		rows, err := doceph.RunSelfHealAblation(fopts)
 		if err != nil {
 			fail(err)
 		}

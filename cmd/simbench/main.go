@@ -32,8 +32,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"doceph/internal/perf"
 )
@@ -64,7 +62,7 @@ func main() {
 		sweep = perf.SmokeSweep()
 	}
 	if *simWorkers != "" {
-		counts, err := parseWorkerList(*simWorkers)
+		counts, err := perf.ParseWorkerList(*simWorkers)
 		if err != nil {
 			fail(err)
 		}
@@ -130,16 +128,4 @@ func main() {
 	}
 	fmt.Printf("vs baseline: %.2fx events/s, %.2fx allocs/op\n",
 		f.SpeedupEventsPerSec, f.AllocsPerOpRatio)
-}
-
-func parseWorkerList(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -sim-workers entry %q (want positive integers)", part)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
 }

@@ -23,7 +23,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "seed for the clusters and every fault draw")
 	flag.Parse()
 
-	opts := doceph.ChaosOptions{
+	opts := doceph.FaultOptions{
 		Duration: doceph.Duration(*seconds) * doceph.Second,
 		Threads:  *threads,
 		Seed:     *seed,
@@ -46,7 +46,7 @@ func main() {
 	fmt.Println()
 	fmt.Println(doceph.ChaosTable(r))
 
-	for _, m := range []doceph.ChaosModeResult{r.Baseline, r.DoCeph} {
+	for _, m := range []doceph.FaultModeResult{r.Baseline, r.DoCeph} {
 		verdict := "clean"
 		if m.IntegrityOK != m.IntegrityChecked || m.Errors > 0 {
 			verdict = fmt.Sprintf("%d errors, %d/%d reads verified",

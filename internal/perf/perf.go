@@ -9,6 +9,7 @@ package perf
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,51 +100,36 @@ func DefaultSweep() []Scenario {
 			Op: "mixed", ReadPercent: 70},
 		{Name: "doceph-stream-16M", Mode: cluster.DoCeph, ObjectBytes: 16 << 20, Threads: 4, DurationSec: 3, WarmupSec: 1, Seed: 42,
 			Stream: true},
-		scaleOut32("doceph-scaleout-32osd", 1, 2),
-		scaleOut32("doceph-scaleout-32osd", 8, 2),
-		scaleOut128("doceph-scaleout-128osd", 1, 1),
-		scaleOut128("doceph-scaleout-128osd", 8, 1),
+		scaleOutAt(scaleOut32, 1, 2),
+		scaleOutAt(scaleOut32, 8, 2),
+		scaleOutAt(scaleOut128, 1, 1),
+		scaleOutAt(scaleOut128, 8, 1),
 	}
 }
 
-// scaleOut32 is the 32-OSD partitioned scenario at a given worker count.
-// The name carries the worker suffix so BENCH_sim.json keeps one row per
-// scale and perf.Guard can pin per-scale floors.
-func scaleOut32(base string, workers, durationSec int) Scenario {
-	return Scenario{
-		Name:         fmt.Sprintf("%s@w%d", base, workers),
-		Mode:         cluster.DoCeph,
-		ObjectBytes:  256 << 10,
-		Threads:      4,
-		DurationSec:  durationSec,
-		WarmupSec:    1,
-		Seed:         42,
-		ScaleOutPods: 8,
-		OSDsPerPod:   4,
-		SimWorkers:   workers,
-	}
-}
-
-// scaleOut128 is the 128-OSD (16 racks x 8 OSDs) partitioned scenario: a
+// The partitioned scale-out shapes tracked by the sweeps: 32 OSDs (8 racks
+// x 4) under a uniform write flood, and 128 OSDs (16 racks x 8) under a
 // Zipf-skewed 70/30 read mix with replica-read balancing on, so the rows
-// track the parallel kernel under the hot-PG shape production fears rather
-// than a uniform write flood.
-func scaleOut128(base string, workers, durationSec int) Scenario {
-	return Scenario{
-		Name:         fmt.Sprintf("%s@w%d", base, workers),
-		Mode:         cluster.DoCeph,
-		ObjectBytes:  64 << 10,
-		Threads:      2,
-		DurationSec:  durationSec,
-		WarmupSec:    1,
-		Seed:         42,
-		ScaleOutPods: 16,
-		OSDsPerPod:   8,
-		SimWorkers:   workers,
-		Workload:     "zipf",
-		ReadPercent:  70,
-		BalanceReads: true,
-	}
+// track the parallel kernel under the hot-PG shape production fears too.
+var (
+	scaleOut32 = Scenario{Name: "doceph-scaleout-32osd", ObjectBytes: 256 << 10, Threads: 4,
+		ScaleOutPods: 8, OSDsPerPod: 4}
+	scaleOut128 = Scenario{Name: "doceph-scaleout-128osd", ObjectBytes: 64 << 10, Threads: 2,
+		ScaleOutPods: 16, OSDsPerPod: 8, Workload: "zipf", ReadPercent: 70, BalanceReads: true}
+)
+
+// scaleOutAt is a scale-out shape at a given kernel worker count. The name
+// carries the worker suffix so BENCH_sim.json keeps one row per scale and
+// perf.Guard can pin per-scale floors.
+func scaleOutAt(shape Scenario, workers, durationSec int) Scenario {
+	sc := shape
+	sc.Name = fmt.Sprintf("%s@w%d", shape.Name, workers)
+	sc.Mode = cluster.DoCeph
+	sc.DurationSec = durationSec
+	sc.WarmupSec = 1
+	sc.Seed = 42
+	sc.SimWorkers = workers
+	return sc
 }
 
 // ScaleOutWorkerRows rebuilds the scale-out rows of a sweep for an explicit
@@ -173,6 +159,21 @@ func ScaleOutWorkerRows(sweep []Scenario, workers []int) []Scenario {
 	return out
 }
 
+// ParseWorkerList parses a comma-separated list of kernel worker counts
+// (the -sim-workers flag of simbench and docephbench). Every entry must be
+// a positive integer; surrounding spaces are allowed.
+func ParseWorkerList(s string) ([]int, error) {
+	var counts []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad -sim-workers entry %q (want positive integers)", part)
+		}
+		counts = append(counts, n)
+	}
+	return counts, nil
+}
+
 // scaleOutBase strips the "@wN" worker suffix from a scenario name.
 func scaleOutBase(name string) string {
 	if i := strings.LastIndex(name, "@w"); i >= 0 {
@@ -198,10 +199,10 @@ func SmokeSweep() []Scenario {
 			Op: "mixed", ReadPercent: 70},
 		{Name: "doceph-stream-16M", Mode: cluster.DoCeph, ObjectBytes: 16 << 20, Threads: 4, DurationSec: 2, WarmupSec: 1, Seed: 42,
 			Stream: true},
-		scaleOut32("doceph-scaleout-32osd", 1, 1),
-		scaleOut32("doceph-scaleout-32osd", 4, 1),
-		scaleOut128("doceph-scaleout-128osd", 1, 1),
-		scaleOut128("doceph-scaleout-128osd", 4, 1),
+		scaleOutAt(scaleOut32, 1, 1),
+		scaleOutAt(scaleOut32, 4, 1),
+		scaleOutAt(scaleOut128, 1, 1),
+		scaleOutAt(scaleOut128, 4, 1),
 	}
 }
 

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,6 +103,35 @@ func TestScaleOutWorkerRows(t *testing.T) {
 	// Non-scale-out rows pass through in place.
 	if rows[0].Name != DefaultSweep()[0].Name {
 		t.Fatalf("leading row moved: %s", rows[0].Name)
+	}
+}
+
+// TestParseWorkerList pins the one -sim-workers parser both CLIs share:
+// strict positive integers only, so a typo cannot silently become a count.
+func TestParseWorkerList(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []int
+	}{
+		{"1,4", []int{1, 4}},
+		{" 2 ", []int{2}},
+		{"4x", nil},
+		{"2.5", nil},
+		{"0", nil},
+		{"-1", nil},
+		{"", nil},
+		{"1,,2", nil},
+	} {
+		got, err := ParseWorkerList(tc.in)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("ParseWorkerList(%q) = %v, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseWorkerList(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
 	}
 }
 

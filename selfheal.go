@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"doceph/internal/dpu"
-	"doceph/internal/faultinject"
 	"doceph/internal/report"
 	"doceph/internal/sim"
-	"doceph/internal/wire"
 )
 
 // Self-healing experiment: both deployments run the same closed-loop
@@ -19,94 +17,21 @@ import (
 // keeps degraded writes flowing (and ledgered) while a replica is down, and
 // the recovery QoS knobs keep the post-crash backfill from starving
 // foreground I/O. Everything runs on virtual time from one seed, so a run
-// reproduces bit-identically (asserted by TestSelfHealDeterminism).
+// reproduces bit-identically (asserted by TestSelfHealDeterminism and pinned
+// by testdata/golden_selfheal.txt).
 
 // BreakerConfig re-exports the DPU circuit-breaker tunables (see
 // dpu.BreakerConfig).
 type BreakerConfig = dpu.BreakerConfig
 
-// DefaultBreakerConfig re-exports the calibrated breaker defaults (disabled;
-// set Enable to arm them).
-func DefaultBreakerConfig() BreakerConfig { return dpu.DefaultBreakerConfig() }
-
-// SelfHealOptions controls the self-healing run.
-type SelfHealOptions struct {
-	// Duration is the workload length (fault windows scale with it).
-	Duration Duration
-	// Threads is the number of closed-loop client workers.
-	Threads int
-	// ObjectBytes is the write size.
-	ObjectBytes int64
-	// Seed seeds both clusters and every probabilistic fault draw.
-	Seed int64
-	// VerifyEvery makes each worker read back one of its own objects after
-	// every VerifyEvery writes.
-	VerifyEvery int
-
-	// MinSize is the write-quorum floor (default 1: a PG keeps accepting
-	// degraded writes down to a single surviving replica).
-	MinSize int
-	// RecoveryMaxPGs / RecoveryBps / RecoveryBackoffDepth are the recovery
-	// QoS knobs (osd.Config); zero values take the experiment defaults.
-	RecoveryMaxPGs       int
-	RecoveryBps          float64
-	RecoveryBackoffDepth int
-	// Breaker configures the DPU circuit breaker. A zero value takes the
-	// dpu defaults with timeouts scaled to Duration so the open -> half-open
-	// -> closed arc fits inside the run.
-	Breaker BreakerConfig
-
-	// DisableBreaker / DisableQoS switch a mechanism off entirely — the
-	// ablation axes of RunSelfHealAblation.
-	DisableBreaker bool
-	DisableQoS     bool
-}
-
-func (o SelfHealOptions) withDefaults() SelfHealOptions {
-	if o.Duration == 0 {
-		o.Duration = 60 * Second
-	}
-	// The 5 s heartbeat grace sets a physical floor: below ~30 s the plan's
-	// crash window is never even detected and the experiment degenerates,
-	// so short (e.g. -quick) durations are raised to the minimum that
-	// exercises the whole arc.
+// selfHealDefaults fills the workload defaults and raises the duration to
+// the experiment's 30 s floor: the 5 s heartbeat grace means a shorter run
+// (e.g. -quick) never even detects the plan's crash window and the
+// experiment degenerates.
+func selfHealDefaults(o FaultOptions) FaultOptions {
+	o = o.withDefaults()
 	if o.Duration < 30*Second {
 		o.Duration = 30 * Second
-	}
-	if o.Threads == 0 {
-		o.Threads = 8
-	}
-	if o.ObjectBytes == 0 {
-		o.ObjectBytes = 1 << 20
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.VerifyEvery == 0 {
-		o.VerifyEvery = 4
-	}
-	if o.MinSize == 0 {
-		o.MinSize = 1
-	}
-	if o.RecoveryMaxPGs == 0 {
-		o.RecoveryMaxPGs = 2
-	}
-	if o.RecoveryBps == 0 {
-		o.RecoveryBps = 64e6 // 64 MB/s backfill budget per OSD (~1/8 disk)
-	}
-	if o.RecoveryBackoffDepth == 0 {
-		o.RecoveryBackoffDepth = 4
-	}
-	if !o.Breaker.Enable && !o.DisableBreaker {
-		// Scale the breaker clock to the run so the re-enroll arc (open
-		// timeout + CloseProbes probes) completes inside the clean tail.
-		// At the full 60 s these come out to the dpu package defaults.
-		b := dpu.DefaultBreakerConfig()
-		b.Enable = true
-		b.Window = o.Duration / 6
-		b.OpenTimeout = o.Duration / 12
-		b.ProbeInterval = o.Duration / 60
-		o.Breaker = b
 	}
 	return o
 }
@@ -127,229 +52,59 @@ func SelfHealPlan(d Duration) FaultPlan {
 	}}
 }
 
-// SelfHealModeResult is one deployment's behaviour under the plan.
-type SelfHealModeResult struct {
-	Mode string
-
-	// Workload outcome.
-	Ops    int64
-	Errors int64
-	// Integrity: inline reads during the faults plus a full post-run pass.
-	IntegrityChecked, IntegrityOK int64
-
-	// Degraded-write machinery (min_size gate).
-	DegradedWrites, NoQuorumRejects, DegradedPGsHealed int64
-	// NoQuorumWaits counts client retry rounds spent below min_size.
-	NoQuorumWaits int64
-
-	// Recovery QoS.
-	ObjectsRecovered, PGsBackfilled, RecoveryBytes, RecoveryBackoffs int64
-	RecoveryThrottle                                                 Duration
-
-	// Circuit breaker (all-node sums; zero on Baseline, which has no DPU).
-	BreakerOpens, BreakerHalfOpens, BreakerCloses int64
-	ProbeSuccesses, ProbeFailures                 int64
-	// FallbackTxns counts transactions the proxy shipped over the host RPC
-	// path; DataPlaneTxns went over DMA.
-	FallbackTxns, DataPlaneTxns int64
-	DMAErrors                   int64
-	// BreakerFinal is node0's breaker state at run end ("" without one).
-	BreakerFinal string
-
-	// Per-second write throughput, clean-second mean, worst in-window
-	// second relative to it, and recovery time after the last window.
-	MBps            []float64
-	CleanMBps       float64
-	DipPct          float64
-	RecoverySeconds float64
-}
-
-// SelfHealResult compares both deployments under the identical plan.
-type SelfHealResult struct {
-	PlanName string
-	Seed     int64
-	Baseline SelfHealModeResult
-	DoCeph   SelfHealModeResult
-}
-
 // RunSelfHeal executes the self-healing workload on both deployments under
-// plan (nil selects SelfHealPlan).
-func RunSelfHeal(opts SelfHealOptions, plan *FaultPlan) (SelfHealResult, error) {
-	opts = opts.withDefaults()
+// plan (nil selects SelfHealPlan), with both mechanisms on.
+func RunSelfHeal(opts FaultOptions, plan *FaultPlan) (FaultResult, error) {
+	opts = selfHealDefaults(opts)
 	pl := SelfHealPlan(opts.Duration)
 	if plan != nil {
 		pl = *plan
 	}
-	out := SelfHealResult{PlanName: pl.Name, Seed: opts.Seed}
-	for _, m := range []struct {
-		mode Mode
-		dst  *SelfHealModeResult
-	}{{Baseline, &out.Baseline}, {DoCeph, &out.DoCeph}} {
-		r, err := runSelfHealMode(m.mode, opts, pl)
-		if err != nil {
-			return out, fmt.Errorf("selfheal %v: %w", m.mode, err)
-		}
-		*m.dst = r
-	}
-	return out, nil
+	return runFaultPair("selfheal", opts, pl, func(mode Mode) ClusterConfig {
+		return selfHealClusterConfig(mode, opts, true, true)
+	}, settleBackfill(opts))
 }
 
-// selfHealClusterConfig maps the options onto a cluster: the min_size floor,
-// the recovery QoS knobs and the bridge breaker (the latter only takes
-// effect on DoCeph nodes).
-func selfHealClusterConfig(mode Mode, opts SelfHealOptions) ClusterConfig {
-	cfg := ClusterConfig{Mode: mode, Seed: opts.Seed, MinSize: opts.MinSize}
-	if !opts.DisableQoS {
-		cfg.OSD.RecoveryMaxPGs = opts.RecoveryMaxPGs
-		cfg.OSD.RecoveryBps = opts.RecoveryBps
-		cfg.OSD.RecoveryBackoffDepth = opts.RecoveryBackoffDepth
+// selfHealClusterConfig is the self-healing experiment's cluster: a
+// min_size floor of 1 (a PG keeps accepting degraded writes down to a
+// single surviving replica), recovery QoS of 2 backfill reservations,
+// 64 MB/s (~1/8 disk) and backoff depth 4 per OSD, and the DPU circuit
+// breaker with its clock scaled to the run so the re-enroll arc (open
+// timeout + CloseProbes probes) completes inside the clean tail — at the
+// full 60 s these come out to the dpu package defaults. breaker and qos
+// switch the two mechanisms off for the ablation; the breaker only takes
+// effect on DoCeph nodes.
+func selfHealClusterConfig(mode Mode, opts FaultOptions, breaker, qos bool) ClusterConfig {
+	cfg := ClusterConfig{Mode: mode, Seed: opts.Seed, MinSize: 1}
+	if qos {
+		cfg.OSD.RecoveryMaxPGs = 2
+		cfg.OSD.RecoveryBps = 64e6
+		cfg.OSD.RecoveryBackoffDepth = 4
 	}
-	if !opts.DisableBreaker {
-		cfg.Bridge.Breaker = opts.Breaker
+	if breaker {
+		b := dpu.DefaultBreakerConfig()
+		b.Enable = true
+		b.Window = opts.Duration / 6
+		b.OpenTimeout = opts.Duration / 12
+		b.ProbeInterval = opts.Duration / 60
+		cfg.Bridge.Breaker = b
 	}
 	return cfg
 }
 
-func runSelfHealMode(mode Mode, opts SelfHealOptions, plan FaultPlan) (SelfHealModeResult, error) {
-	cl := NewCluster(selfHealClusterConfig(mode, opts))
-	defer cl.Shutdown()
-	res := SelfHealModeResult{Mode: mode.String()}
+// settleBackfill is the self-healing pre-verify step: let the backfill tail
+// drain under its QoS budget before the final verify pass.
+func settleBackfill(opts FaultOptions) func(*sim.Proc, *Cluster) {
+	return func(p *sim.Proc, _ *Cluster) { p.Wait(opts.Duration / 6) }
+}
 
-	inj := faultinject.New(cl.Env, cl.FaultTargets())
-	if err := inj.Run(plan); err != nil {
-		return res, fmt.Errorf("fault plan rejected: %w", err)
-	}
-
-	payload := make([]byte, opts.ObjectBytes)
-	for i := range payload {
-		payload[i] = byte(i * 2654435761)
-	}
-	wantCRC := wire.FromBytes(payload).CRC32C()
-
-	var (
-		stopped  bool
-		perSecBy []int64
-		written  = make([][]string, opts.Threads)
-	)
-	start := cl.Env.Now()
-	record := func(end sim.Time, bytes int64) {
-		sec := int(end.Sub(start) / sim.Duration(sim.Second))
-		for len(perSecBy) <= sec {
-			perSecBy = append(perSecBy, 0)
-		}
-		perSecBy[sec] += bytes
-	}
-	verify := func(p *sim.Proc, obj string) {
-		bl, err := cl.Client.Read(p, obj, 0, 0)
-		if err != nil {
-			res.Errors++
-			return
-		}
-		res.IntegrityChecked++
-		if bl.CRC32C() == wantCRC {
-			res.IntegrityOK++
-		}
-	}
-
-	workersDone := 0
-	for w := 0; w < opts.Threads; w++ {
-		worker := w
-		cl.Env.Spawn(fmt.Sprintf("selfheal-worker-%d", w), func(p *sim.Proc) {
-			p.SetThread(sim.NewThread(fmt.Sprintf("selfheal-%d", worker), "client"))
-			defer func() { workersDone++ }()
-			for i := 0; !stopped; i++ {
-				obj := fmt.Sprintf("selfheal_w%d_%d", worker, i)
-				res.Ops++
-				if err := cl.Client.Write(p, obj, wire.FromBytes(payload)); err != nil {
-					res.Errors++
-					continue
-				}
-				written[worker] = append(written[worker], obj)
-				record(p.Now(), opts.ObjectBytes)
-				if n := len(written[worker]); n > 0 && n%opts.VerifyEvery == 0 {
-					pick := written[worker][cl.Env.Rand().Intn(n)]
-					res.Ops++
-					verify(p, pick)
-				}
-			}
-		})
-	}
-	cl.Env.Spawn("selfheal-controller", func(p *sim.Proc) {
-		p.Wait(opts.Duration)
-		stopped = true
-	})
-	for !stopped {
-		if err := cl.Env.RunUntil(cl.Env.Now().Add(sim.Second)); err != nil {
-			return res, err
-		}
-	}
-	for workersDone < opts.Threads {
-		if err := cl.Env.RunUntil(cl.Env.Now().Add(sim.Second)); err != nil {
-			return res, err
-		}
-	}
-
-	// Post-run: let the backfill tail drain under its QoS budget, then
-	// verify every object the workload managed to write.
-	verifyDone := false
-	cl.Env.Spawn("selfheal-verify", func(p *sim.Proc) {
-		p.SetThread(sim.NewThread("selfheal-verify", "client"))
-		p.Wait(opts.Duration / 6)
-		for _, objs := range written {
-			for _, obj := range objs {
-				verify(p, obj)
-			}
-		}
-		verifyDone = true
-	})
-	for !verifyDone {
-		if err := cl.Env.RunUntil(cl.Env.Now().Add(5 * sim.Second)); err != nil {
-			return res, err
-		}
-	}
-
-	// Collect counters.
-	res.NoQuorumWaits = cl.Client.Stats().NoQuorumWaits
-	for _, n := range cl.Nodes {
-		os := n.OSD.Stats()
-		res.DegradedWrites += os.DegradedWrites
-		res.NoQuorumRejects += os.NoQuorumRejects
-		res.DegradedPGsHealed += os.DegradedPGsHealed
-		res.ObjectsRecovered += os.ObjectsRecovered
-		res.PGsBackfilled += os.PGsBackfilled
-		res.RecoveryBytes += os.RecoveryBytes
-		res.RecoveryBackoffs += os.RecoveryBackoffs
-		res.RecoveryThrottle += os.RecoveryThrottle
-		if n.Bridge != nil {
-			ps := n.Bridge.Proxy.Stats()
-			res.FallbackTxns += ps.FallbackTxns
-			res.DataPlaneTxns += ps.DataPlaneTxns
-			res.DMAErrors += n.Bridge.EngUp.Stats().Errors + n.Bridge.EngDown.Stats().Errors
-			if br := n.Bridge.Proxy.Breaker(); br != nil {
-				bs := br.Stats()
-				res.BreakerOpens += bs.Opens
-				res.BreakerHalfOpens += bs.HalfOpens
-				res.BreakerCloses += bs.Closes
-				res.ProbeSuccesses += bs.ProbeSuccesses
-				res.ProbeFailures += bs.ProbeFailures
-			}
-		}
-	}
-	if len(cl.Nodes) > 0 && cl.Nodes[0].Bridge != nil {
-		if br := cl.Nodes[0].Bridge.Proxy.Breaker(); br != nil {
-			res.BreakerFinal = br.State().String()
-		}
-	}
-
-	for _, b := range perSecBy {
-		res.MBps = append(res.MBps, float64(b)/1e6)
-	}
-	res.CleanMBps, res.DipPct, res.RecoverySeconds = chaosDipRecovery(res.MBps, plan)
-	return res, nil
+// runSelfHealMode runs one self-healing deployment on cfg.
+func runSelfHealMode(cfg ClusterConfig, opts FaultOptions, plan FaultPlan) (FaultModeResult, error) {
+	return runFaultMode("selfheal", cfg, settleBackfill(opts), opts, plan)
 }
 
 // SelfHealTable renders the comparison.
-func SelfHealTable(r SelfHealResult) *report.Table {
+func SelfHealTable(r FaultResult) *report.Table {
 	t := &report.Table{
 		Title:  fmt.Sprintf("Self-healing: plan %q, seed %d — Baseline vs DoCeph", r.PlanName, r.Seed),
 		Header: []string{"metric", "Baseline", "DoCeph"},
@@ -399,24 +154,16 @@ func orDash(s string) string {
 
 // SelfHealAblationRow is one DoCeph run of the breaker x QoS grid.
 type SelfHealAblationRow struct {
-	Variant          string
-	CleanMBps        float64
-	DipPct           float64
-	RecoverySeconds  float64
-	Errors           int64
-	FallbackTxns     int64
-	RecoveryBackoffs int64
-	IntegrityOK      int64
-	IntegrityChecked int64
-	BreakerFinal     string
+	Variant string
+	FaultModeResult
 }
 
 // RunSelfHealAblation runs the DoCeph deployment through the selfheal plan
 // with each combination of the two mechanisms, plus a fault-free reference
 // row — the marginal value of the breaker and of recovery QoS under the
 // identical failure schedule.
-func RunSelfHealAblation(opts SelfHealOptions) ([]SelfHealAblationRow, error) {
-	opts = opts.withDefaults()
+func RunSelfHealAblation(opts FaultOptions) ([]SelfHealAblationRow, error) {
+	opts = selfHealDefaults(opts)
 	plan := SelfHealPlan(opts.Duration)
 	variants := []struct {
 		name         string
@@ -431,28 +178,11 @@ func RunSelfHealAblation(opts SelfHealOptions) ([]SelfHealAblationRow, error) {
 	}
 	var rows []SelfHealAblationRow
 	for _, v := range variants {
-		o := opts
-		o.DisableBreaker = !v.breaker
-		o.DisableQoS = !v.qos
-		if o.DisableBreaker {
-			o.Breaker = BreakerConfig{}
-		}
-		r, err := runSelfHealMode(DoCeph, o, v.plan)
+		r, err := runSelfHealMode(selfHealClusterConfig(DoCeph, opts, v.breaker, v.qos), opts, v.plan)
 		if err != nil {
 			return rows, fmt.Errorf("ablation %q: %w", v.name, err)
 		}
-		rows = append(rows, SelfHealAblationRow{
-			Variant:          v.name,
-			CleanMBps:        r.CleanMBps,
-			DipPct:           r.DipPct,
-			RecoverySeconds:  r.RecoverySeconds,
-			Errors:           r.Errors,
-			FallbackTxns:     r.FallbackTxns,
-			RecoveryBackoffs: r.RecoveryBackoffs,
-			IntegrityOK:      r.IntegrityOK,
-			IntegrityChecked: r.IntegrityChecked,
-			BreakerFinal:     r.BreakerFinal,
-		})
+		rows = append(rows, SelfHealAblationRow{Variant: v.name, FaultModeResult: r})
 	}
 	return rows, nil
 }
