@@ -233,6 +233,22 @@ type Report struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 	AllocsPerOp  float64 `json:"allocs_per_op"`
 	NsPerOp      float64 `json:"ns_per_op"`
+
+	// Host fingerprints the machine the sweep ran on: rates recorded on
+	// different hosts are not comparable. Guard ignores it.
+	Host *Host `json:"host,omitempty"`
+}
+
+// Host identifies the measuring machine by what bounds simulator speed.
+type Host struct {
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// ThisHost returns the fingerprint of the running process's host.
+func ThisHost() *Host {
+	return &Host{Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
 }
 
 // Validate rejects scenario shapes that would silently fall back to
@@ -573,6 +589,7 @@ func RunSweepWorkers(sweep []Scenario, workers int) (Report, error) {
 		totalOps += m.Ops
 	}
 	rep.Scenarios = measurements
+	rep.Host = ThisHost()
 	if totalWallNs > 0 {
 		rep.EventsPerSec = float64(totalEvents) / (float64(totalWallNs) / 1e9)
 	}

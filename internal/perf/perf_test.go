@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -242,6 +243,38 @@ func TestGuard(t *testing.T) {
 	}
 	if err := Guard(path, Report{EventsPerSec: 1000}, 0.3, 2); err == nil {
 		t.Error("corrupt guard file must error, not silently pass")
+	}
+}
+
+// TestHostFingerprint: UpdateFile records the report's host next to its
+// rates, and Guard compares rates only — a record from another host
+// neither passes nor fails a run by itself.
+func TestHostFingerprint(t *testing.T) {
+	h := ThisHost()
+	if h.Cores != runtime.NumCPU() || h.GOMAXPROCS != runtime.GOMAXPROCS(0) || h.GoVersion != runtime.Version() {
+		t.Fatalf("ThisHost() = %+v", h)
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	other := &Host{Cores: 64, GOMAXPROCS: 64, GoVersion: "go0.0"}
+	if _, err := UpdateFile(path, Report{EventsPerSec: 1000, AllocsPerOp: 50, Host: other}, false); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f File
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.Current.Host == nil || *f.Current.Host != *other {
+		t.Fatalf("recorded host = %+v, want %+v", f.Current.Host, other)
+	}
+	if err := Guard(path, Report{EventsPerSec: 400, AllocsPerOp: 60, Host: h}, 0.3, 2); err != nil {
+		t.Errorf("host mismatch must not fail the guard: %v", err)
+	}
+	if err := Guard(path, Report{EventsPerSec: 200, Host: other}, 0.3, 2); err == nil {
+		t.Error("host match must not excuse a collapsed run")
 	}
 }
 

@@ -3,11 +3,14 @@
 //
 // The kernel is process-oriented: every simulated thread of control (a Ceph
 // messenger worker, an OSD op thread, a DMA polling loop, a benchmark client)
-// is a goroutine wrapped in a Proc. Exactly one Proc executes at any moment;
-// control is handed between the kernel and processes through per-process
-// channels, and pending wakeups are ordered by (virtual time, sequence
-// number). Runs are therefore bit-deterministic for a given seed regardless
-// of GOMAXPROCS, and safe under the race detector.
+// is a coroutine (iter.Pull) wrapped in a Proc. Exactly one Proc executes at
+// any moment: the kernel's run loop is a trampoline that pops the next
+// wakeup — ordered by (virtual time, sequence number) — and switches to its
+// owner's coroutine, which runs until it parks and yields back. A proc whose
+// own wakeup is next keeps running without a switch. A switch is a runtime
+// coroutine switch, not a trip through the goroutine scheduler. Since the
+// heap alone decides who runs next, runs are bit-deterministic for a given
+// seed regardless of GOMAXPROCS, and safe under the race detector.
 //
 // On top of the kernel the package provides the contended resource models the
 // experiments are measured against:

@@ -1,7 +1,14 @@
+// iter.Pull (Go 1.23) runs the proc coroutines. The constraint raises this
+// file's language version above go.mod's go 1.22 line, which stays there so
+// that the perfbench module, itself at go 1.22, keeps building against it.
+
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"strings"
@@ -93,10 +100,6 @@ func (h *eventHeap) pop() event {
 	return min
 }
 
-type resumeMsg struct {
-	kill bool
-}
-
 type procState int
 
 const (
@@ -104,26 +107,32 @@ const (
 	stateRunning
 	stateBlocked
 	stateDone
-	// stateFree marks a proc whose body has returned and whose goroutine is
-	// parked in the reuse pool awaiting the next Spawn.
+	// stateFree marks a proc whose body has returned and whose coroutine is
+	// suspended in the reuse pool awaiting the next Spawn.
 	stateFree
 )
 
-// errKilled is the panic sentinel used by Shutdown to unwind parked procs.
+// killSignal is the panic sentinel park raises when Shutdown stops a parked
+// proc; run recovers it, so it never escapes the package.
 type killSignal struct{}
 
 // Proc is a simulated thread of control. All blocking operations on the
 // simulation (Wait, queue pops, CPU execution, transfers) take the Proc as
 // the identity of the caller; a Proc must only be used from its own body.
 //
-// Procs (and their goroutines and resume channels) are pooled: when a body
-// returns, the proc parks in a free list and the next Spawn reuses it. A
-// *Proc must therefore not be retained past the return of its body.
+// Procs (and their coroutines) are pooled: when a body returns, the proc
+// parks in a free list and the next Spawn reuses it. A *Proc must therefore
+// not be retained past the return of its body.
 type Proc struct {
-	env    *Env
-	name   string
-	fn     func(*Proc)
-	resume chan resumeMsg
+	env  *Env
+	name string
+	fn   func(*Proc)
+	// next resumes the proc's coroutine until it parks or its body returns;
+	// stop unwinds it for good. yield, handed to the coroutine, suspends it
+	// back to the kernel and reports false once the proc has been stopped.
+	next   func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	state  procState
 	thread *Thread
 	daemon bool
@@ -153,22 +162,20 @@ func (p *Proc) Now() Time { return p.env.now }
 // processes, then call Run or RunUntil from the host goroutine. Env is not
 // safe for concurrent use from multiple host goroutines.
 //
-// Scheduling uses direct handoff: the goroutine that is ceding control (a
-// parking or finishing proc, or the kernel entering RunUntil) pops the next
-// event itself and resumes its owner over that proc's channel. Control only
-// returns to the kernel goroutine when the heap is exhausted or the next
-// event lies beyond the current run limit, so a RunUntil interval costs one
-// kernel round-trip instead of two channel operations per event. Exactly one
-// goroutine runs at a time; every transfer of control is a channel rendezvous
-// (or stays within the same goroutine on the park fast path), which keeps the
-// event order — and with it every simulated result — identical to the
+// Scheduling is a trampoline over coroutines: every Proc body runs as an
+// iter.Pull coroutine, and runWindow — on whichever goroutine calls it —
+// pops the next event and resumes its owner with a direct coroutine switch
+// (no scheduler, no channel). A parking proc keeps control when its own
+// wakeup is the heap's next live event within the run limit (the common
+// case for plain Waits); otherwise it yields back to runWindow, which
+// resumes the next owner. Exactly one coroutine runs at a time, so the
+// event order — and with it every simulated result — is that of the
 // classic kernel-centric loop.
 type Env struct {
 	now    Time
 	seq    uint64
 	heap   eventHeap
 	limit  Time
-	yield  chan struct{}
 	rng    *rand.Rand
 	live   int
 	procs  []*Proc
@@ -181,7 +188,6 @@ type Env struct {
 // NewEnv returns an environment whose random stream is seeded with seed.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		yield: make(chan struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 		limit: MaxTime,
 	}
@@ -226,46 +232,38 @@ func (e *Env) schedule(tok *wakeToken, at Time) {
 	e.heap.push(event{t: at, seq: e.seq, tok: tok})
 }
 
-// next pops events until it can return the proc owning the next live event.
-// It returns nil when the heap is exhausted or the next live event lies
-// beyond the run limit (the event is left in the heap). Must only be called
-// by the goroutine currently holding control.
-func (e *Env) next() *Proc {
+// top pops spent tokens off the heap and reports whether a live event
+// remains; if so it is e.heap.a[0]. Must only be called by the goroutine
+// currently holding control (or between runs).
+func (e *Env) top() bool {
 	for e.heap.len() > 0 {
-		if tok := e.heap.a[0].tok; tok.spent {
-			e.heap.pop()
-			e.dropRef(tok)
-			continue
+		tok := e.heap.a[0].tok
+		if !tok.spent {
+			return true
 		}
-		if e.heap.a[0].t > e.limit {
-			return nil
-		}
-		ev := e.heap.pop()
-		e.now = ev.t
-		ev.tok.spent = true
-		e.events++
-		p := ev.tok.p
-		e.dropRef(ev.tok)
-		return p
+		e.heap.pop()
+		e.dropRef(tok)
 	}
-	return nil
+	return false
 }
 
-// handoff transfers control to the owner of the next event — or back to the
-// kernel goroutine when there is none runnable. It returns true (without any
-// channel operation) when self is itself the next to run: the caller keeps
-// control. Called by a goroutine that is ceding control.
-func (e *Env) handoff(self *Proc) bool {
-	next := e.next()
-	if next == nil {
-		e.yield <- struct{}{}
-		return false
+// peek returns the owner of the next live event, or nil when the heap is
+// exhausted or that event lies beyond the run limit (it stays queued).
+func (e *Env) peek() *Proc {
+	if !e.top() || e.heap.a[0].t > e.limit {
+		return nil
 	}
-	if next == self {
-		return true
-	}
-	next.resume <- resumeMsg{}
-	return false
+	return e.heap.a[0].tok.p
+}
+
+// fire pops the live event peek found, advancing the clock to it and
+// spending its token.
+func (e *Env) fire() {
+	ev := e.heap.pop()
+	e.now = ev.t
+	ev.tok.spent = true
+	e.events++
+	e.dropRef(ev.tok)
 }
 
 // SpawnDaemon creates a service-loop process that is expected to block
@@ -280,7 +278,7 @@ func (e *Env) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 
 // Spawn creates a new process running fn and schedules it to start at the
 // current virtual time. It may be called before Run or from inside a running
-// process. Finished procs (goroutine and channel included) are reused.
+// process. Finished procs (coroutine included) are reused.
 func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	var p *Proc
 	if n := len(e.procFree); n > 0 {
@@ -291,8 +289,8 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 		p.thread = nil
 		p.daemon = false
 	} else {
-		p = &Proc{env: e, name: name, fn: fn, resume: make(chan resumeMsg)}
-		go p.loop()
+		p = &Proc{env: e, name: name, fn: fn}
+		p.next, p.stop = iter.Pull(p.loop)
 	}
 	p.idx = len(e.procs)
 	e.procs = append(e.procs, p)
@@ -301,30 +299,23 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// loop is the body of a proc goroutine: run a spawned function, recycle the
-// proc, park until the next reuse. One goroutine serves many Spawns.
-func (p *Proc) loop() {
-	e := p.env
+// loop is the body of a proc coroutine: run a spawned function, recycle the
+// proc, suspend until the next reuse. One coroutine serves many Spawns; it
+// ends only when Shutdown stops it.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
 	for {
-		msg := <-p.resume
-		if msg.kill {
-			if p.state == stateNew {
-				e.live--
-			}
-			p.state = stateDone
-			e.yield <- struct{}{}
-			return
-		}
 		p.state = stateRunning
-		if p.run() {
-			return // killed mid-body during Shutdown
+		if p.run() || !yield(struct{}{}) {
+			return
 		}
 	}
 }
 
 // run executes the proc body once and reports whether the proc was killed.
-// On normal completion it recycles the proc and hands control to the next
-// event's owner.
+// On normal completion it recycles the proc. A panic other than the kill
+// sentinel propagates out of the coroutine to the goroutine that resumed it
+// (the caller of Run), carrying its original value.
 func (p *Proc) run() (killed bool) {
 	e := p.env
 	func() {
@@ -341,7 +332,6 @@ func (p *Proc) run() (killed bool) {
 	e.live--
 	p.state = stateDone
 	if killed {
-		e.yield <- struct{}{}
 		return true
 	}
 	// Swap-remove from the live list and recycle.
@@ -355,22 +345,20 @@ func (p *Proc) run() (killed bool) {
 	p.thread = nil
 	p.state = stateFree
 	e.procFree = append(e.procFree, p)
-	e.handoff(nil)
 	return false
 }
 
-// park yields control to the kernel until one of the proc's registered wake
-// tokens fires. Fast path: when the next event in the heap is the proc's
-// own (typical for plain Waits), park pops it and returns without touching
-// any channel.
+// park suspends the proc until one of its registered wake tokens fires.
+// Fast path: when the heap's next live event within the run limit is the
+// proc's own (typical for plain Waits), park fires it and returns without a
+// coroutine switch. Otherwise it yields to the trampoline in runWindow,
+// which resumes it when its token fires — or stops it during Shutdown, in
+// which case park unwinds the body with the kill sentinel.
 func (p *Proc) park() {
 	p.state = stateBlocked
-	if p.env.handoff(p) {
-		p.state = stateRunning
-		return
-	}
-	msg := <-p.resume
-	if msg.kill {
+	if e := p.env; e.peek() == p {
+		e.fire()
+	} else if !p.yield(struct{}{}) {
 		panic(killSignal{})
 	}
 	p.state = stateRunning
@@ -476,21 +464,16 @@ func (e *Env) RunUntil(limit Time) error {
 // for cross-partition messages.
 func (e *Env) runWindow(limit Time) (drained bool) {
 	e.limit = limit
-	for {
-		p := e.next()
-		if p == nil {
-			if e.heap.len() > 0 {
-				// Next live event is beyond the limit; leave it queued.
-				e.now = limit
-				return false
-			}
-			return true
-		}
-		p.resume <- resumeMsg{}
-		// Control comes back only when the handoff chain exhausts the heap
-		// or reaches the limit; re-check which on the next iteration.
-		<-e.yield
+	for p := e.peek(); p != nil; p = e.peek() {
+		e.fire()
+		p.next()
 	}
+	if e.heap.len() > 0 {
+		// Next live event is beyond the limit; leave it queued.
+		e.now = limit
+		return false
+	}
+	return true
 }
 
 // blockedState returns the sorted names of non-daemon procs parked or never
@@ -515,15 +498,10 @@ func (e *Env) blockedState() (parked []string, daemons int) {
 // It must only be called while the environment is not running (between
 // windows or before Run).
 func (e *Env) NextEventTime() (t Time, ok bool) {
-	for e.heap.len() > 0 {
-		if tok := e.heap.a[0].tok; tok.spent {
-			e.heap.pop()
-			e.dropRef(tok)
-			continue
-		}
-		return e.heap.a[0].t, true
+	if !e.top() {
+		return 0, false
 	}
-	return 0, false
+	return e.heap.a[0].t, true
 }
 
 // advanceTo moves the clock forward to t without executing anything. The
@@ -535,19 +513,22 @@ func (e *Env) advanceTo(t Time) {
 }
 
 // Shutdown force-terminates every process that is still parked or never
-// started — including the pooled goroutines of finished procs — releasing
+// started — including the pooled coroutines of finished procs — releasing
 // their goroutines. The environment must not be used afterwards.
 func (e *Env) Shutdown() {
-	procs := append([]*Proc(nil), e.procs...)
-	for _, p := range procs {
-		if p.state == stateBlocked || p.state == stateNew {
-			p.resume <- resumeMsg{kill: true}
-			<-e.yield
+	// Index loop: a killed body's deferred code may still Spawn.
+	for i := 0; i < len(e.procs); i++ {
+		switch p := e.procs[i]; p.state {
+		case stateNew:
+			e.live--
+			p.state = stateDone
+			p.stop()
+		case stateBlocked:
+			p.stop()
 		}
 	}
 	for _, p := range e.procFree {
-		p.resume <- resumeMsg{kill: true}
-		<-e.yield
+		p.stop()
 	}
 	e.procFree = nil
 }

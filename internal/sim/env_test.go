@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestWaitAdvancesClock(t *testing.T) {
@@ -271,4 +273,125 @@ func TestQuickKernelDeterminism(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced identical traces")
 	}
+}
+
+// settleGoroutines waits (briefly) for the goroutine count to drop back to
+// at most want. Proc coroutines exit synchronously inside Shutdown, but the
+// worker goroutines of a finished Group.Run exit asynchronously.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > want {
+		t.Fatalf("goroutines after Shutdown = %d, want %d (leaked proc coroutines)", got, want)
+	}
+}
+
+// TestShutdownReleasesGoroutines: Shutdown ends every proc coroutine the
+// Env holds — finished procs parked in the reuse pool, parked daemons, and
+// procs spawned but never started (both reused and freshly created).
+func TestShutdownReleasesGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv(1)
+	q := NewQueue[int](env)
+	for i := 0; i < 4; i++ {
+		env.Spawn(fmt.Sprintf("finisher%d", i), func(p *Proc) { p.Wait(Millisecond) })
+	}
+	for i := 0; i < 2; i++ {
+		env.SpawnDaemon(fmt.Sprintf("daemon%d", i), func(p *Proc) {
+			for {
+				q.Pop(p)
+			}
+		})
+	}
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Two never-started procs reuse pooled coroutines; two stay pooled. A
+	// second Env that never runs holds a never-started fresh coroutine.
+	unstarted := func(p *Proc) { t.Error("unstarted proc ran") }
+	env.Spawn("unstarted0", unstarted)
+	env.Spawn("unstarted1", unstarted)
+	idle := NewEnv(2)
+	idle.Spawn("unstarted2", unstarted)
+	if got := runtime.NumGoroutine(); got <= before {
+		t.Fatalf("goroutines = %d before Shutdown, want more than %d (one per proc coroutine)", got, before)
+	}
+	env.Shutdown()
+	idle.Shutdown()
+	if env.LiveProcs() != 0 || idle.LiveProcs() != 0 {
+		t.Fatalf("live=%d,%d after shutdown", env.LiveProcs(), idle.LiveProcs())
+	}
+	settleGoroutines(t, before)
+}
+
+// TestGroupShutdownReleasesGoroutines: the same guarantee for a
+// partitioned run at two kernel workers, where each window runs on
+// whichever worker goroutine takes it, so one proc coroutine is resumed
+// from different goroutines across windows — and across the two Run calls,
+// whose worker pools are distinct.
+func TestGroupShutdownReleasesGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	g := NewGroup()
+	a, b := NewEnv(1), NewEnv(2)
+	pa, pb := g.Add("a", a), g.Add("b", b)
+	ab := g.Connect("a->b", pa, pb, 10*Microsecond)
+	ba := g.Connect("b->a", pb, pa, 7*Microsecond)
+	const rounds = 50
+	got := 0
+	a.Spawn("pinger", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			p.Wait(3 * Microsecond)
+			ab.Send(p, i)
+			got += ba.Recv(p).Payload.(int)
+		}
+	})
+	b.SpawnDaemon("ponger", func(p *Proc) {
+		for {
+			ba.Send(p, ab.Recv(p).Payload.(int))
+		}
+	})
+	a.Spawn("finisher", func(p *Proc) { p.Wait(Microsecond) })
+	if err := g.Run(2, Time(500*Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Run(2, MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if want := rounds * (rounds - 1) / 2; got != want {
+		t.Fatalf("pinger summed %d, want %d", got, want)
+	}
+	b.Spawn("unstarted", func(p *Proc) { t.Error("unstarted proc ran") })
+	g.Shutdown()
+	settleGoroutines(t, before)
+}
+
+// TestProcPanicReachesRunCaller: a panic in a proc body surfaces on the
+// goroutine that called Run, with its original value, and leaves the Env
+// in a state Shutdown can still reclaim.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	type boom struct{ code int }
+	before := runtime.NumGoroutine()
+	env := NewEnv(1)
+	ev := NewEvent(env)
+	env.SpawnDaemon("parked", func(p *Proc) { ev.Wait(p) })
+	env.Spawn("faulty", func(p *Proc) {
+		p.Wait(Millisecond)
+		panic(boom{code: 7})
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = env.Run()
+	}()
+	if got != (boom{code: 7}) {
+		t.Fatalf("recovered %#v, want boom{7}", got)
+	}
+	if env.Now() != Time(Millisecond) {
+		t.Fatalf("now=%v, want 1ms", env.Now())
+	}
+	env.Shutdown()
+	settleGoroutines(t, before)
 }
