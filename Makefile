@@ -17,9 +17,11 @@ test:
 	go test ./...
 
 # The simulation is single-goroutine per cluster by design; the race run
-# guards the few places real goroutines meet (env driver, queues).
+# guards the few places real goroutines meet (env driver, queues). -short
+# skips the 128-OSD sweeps and the experiment-table golden; the root
+# package alone outlasts go test's 10-minute default timeout under -race.
 test-race:
-	go test -race ./...
+	go test -race -short -timeout 30m ./...
 
 race: test-race
 

@@ -80,47 +80,32 @@ func RunAblations(opts ExpOptions) ([]AblationResult, error) {
 		}},
 	}
 
-	out := make([]AblationResult, len(variants))
-	err := runParallel(len(variants), func(i int) error {
-		v := variants[i]
-		cfg := ClusterConfig{Mode: DoCeph, Seed: opts.Seed}
+	arms := make([]arm, len(variants))
+	for i, v := range variants {
+		arms[i] = arm{name: fmt.Sprintf("ablation %q", v.name), cfg: ClusterConfig{Mode: DoCeph},
+			bench: BenchConfig{ObjectBytes: v.size}, failEvery: v.inject}
 		if v.mut != nil {
-			v.mut(&cfg)
+			v.mut(&arms[i].cfg)
 		}
-		cl := NewCluster(cfg)
-		defer cl.Shutdown()
-		if v.inject > 0 {
-			for _, n := range cl.Nodes {
-				n.Bridge.EngUp.FailEvery = v.inject
-			}
-		}
-		bench, err := RunBench(cl, BenchConfig{
-			Threads: opts.Threads, ObjectBytes: v.size,
-			Duration: opts.Duration, Warmup: opts.Warmup,
-		})
-		if err != nil {
-			return fmt.Errorf("ablation %q: %w", v.name, err)
-		}
-		res := AblationResult{
-			Name:       v.name,
-			SizeBytes:  v.size,
-			AvgLatency: bench.AvgLatency,
-			IOPS:       bench.IOPS(),
-			HostUtil:   cl.HostCPUMerged().SingleCoreUtilization(),
-		}
-		for _, n := range cl.Nodes {
-			st := n.Bridge.Proxy.Stats()
-			res.Negotiations += n.Bridge.CC.Negotiations()
-			res.FallbackSegs += st.FallbackSegments + st.FallbackTxns
-			res.DMAErrors += n.Bridge.EngUp.Stats().Errors
-			res.BatchedTxns += st.BatchedTxns
-			res.BatchFlushes += st.BatchFlushes
-		}
-		out[i] = res
-		return nil
-	})
+	}
+	rs, err := runArms(opts, arms)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]AblationResult, len(variants))
+	for i, r := range rs {
+		out[i] = AblationResult{
+			Name:         variants[i].name,
+			SizeBytes:    variants[i].size,
+			AvgLatency:   r.bench.AvgLatency,
+			IOPS:         r.bench.IOPS(),
+			HostUtil:     r.hostUtil,
+			Negotiations: r.negotiations,
+			FallbackSegs: r.fallbacks,
+			DMAErrors:    r.dmaErrors,
+			BatchedTxns:  r.batchedTxns,
+			BatchFlushes: r.batchFlushes,
+		}
 	}
 	return out, nil
 }

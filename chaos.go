@@ -37,16 +37,16 @@ func DefaultChaosPlan(d Duration) FaultPlan {
 	}}
 }
 
-// RunChaos executes the chaos workload on both deployments under plan (nil
-// selects DefaultChaosPlan). Before the final verify pass every PG is
-// scrubbed, repairing the injected bit-rot.
-func RunChaos(opts FaultOptions, plan *FaultPlan) (FaultResult, error) {
+// RunChaos executes the chaos workload of size-byte writes (0 means 1 MB)
+// on both deployments under plan (nil selects DefaultChaosPlan). Before the
+// final verify pass every PG is scrubbed, repairing the injected bit-rot.
+func RunChaos(opts ExpOptions, size int64, plan *FaultPlan) (FaultResult, error) {
 	opts = opts.withDefaults()
 	pl := DefaultChaosPlan(opts.Duration)
 	if plan != nil {
 		pl = *plan
 	}
-	return runFaultPair("chaos", opts, pl, func(mode Mode) ClusterConfig {
+	return runFaultPair("chaos", opts, size, pl, func(mode Mode) ClusterConfig {
 		return ClusterConfig{Mode: mode, Seed: opts.Seed}
 	}, scrubAll)
 }

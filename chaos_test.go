@@ -11,17 +11,21 @@ import (
 )
 
 // chaosOpts keeps the chaos runs CI-sized: the default plan scales its
-// windows to the duration, so the shape is preserved.
-func chaosOpts() FaultOptions {
-	return FaultOptions{Duration: 30 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 42}
+// windows to the duration, so the shape is preserved. Writes are
+// faultTestBytes.
+func chaosOpts() ExpOptions {
+	return ExpOptions{Duration: 30 * Second, Threads: 4, Seed: 42}
 }
+
+// faultTestBytes is the write size of the fault-experiment tests.
+const faultTestBytes = 256 << 10
 
 // TestChaosRunCompletes is the headline robustness check: under the full
 // default fault plan, both deployments finish the run with every op resolved
 // (success or typed error — nothing hung past the driver's horizon) and
 // every verified read matching the written payload.
 func TestChaosRunCompletes(t *testing.T) {
-	r, err := RunChaos(chaosOpts(), nil)
+	r, err := RunChaos(chaosOpts(), faultTestBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +65,12 @@ func TestChaosRunCompletes(t *testing.T) {
 // TestChaosDeterminism asserts the reproducibility contract: the same seed
 // and the same plan produce byte-identical results across two full runs.
 func TestChaosDeterminism(t *testing.T) {
-	opts := FaultOptions{Duration: 12 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 7}
-	a, err := RunChaos(opts, nil)
+	opts := ExpOptions{Duration: 12 * Second, Threads: 4, Seed: 7}
+	a, err := RunChaos(opts, faultTestBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChaos(opts, nil)
+	b, err := RunChaos(opts, faultTestBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

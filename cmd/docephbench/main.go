@@ -3,9 +3,15 @@
 //
 // Usage:
 //
-//	docephbench [-exp all|fig5|fig6|table2|fig7|fig8|fig9|fig10|table3|read|smallops|ablation|chaos]
-//	            [-quick] [-seconds N] [-threads N] [-seed N]
-//	            [-batch-bytes N] [-batch-op-bytes N] [-batch-delay-us N] [-batch-idle-us N]
+//	docephbench [-exp NAME] [-quick] [-seconds N] [-threads N] [-seed N]
+//	            [-sim-workers LIST] [-trace [-trace-out PREFIX] [-trace-size N]]
+//
+// NAME is "all" (the default) or one experiment, in output order: fig5,
+// fig6, table2, fig7, fig8, table3, fig9, fig10, smallops, mq, read,
+// readpath, streaming, stability, scale, scaleout, scaleout128, chaos,
+// selfheal, ablation. "all" runs the paper's figures and tables plus read,
+// stability, scale and ablation; the other extensions run only by name.
+// -trace adds the traced per-stage breakdown (alone, it replaces "all").
 //
 // With -quick the runs are shortened (8 s measured window instead of the
 // paper's 60 s); shapes are preserved.
@@ -16,13 +22,37 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 
 	"doceph"
 	"doceph/internal/perf"
+	"doceph/internal/report"
 )
 
+// experiment is one -exp target: run prints its tables.
+type experiment struct {
+	name  string
+	inAll bool // part of -exp all
+	run   func() error
+}
+
+// show returns an experiment body that prints banner (unless empty), runs
+// run and prints its result as rendered by render.
+func show[T any](banner string, render func(T) *report.Table, run func() (T, error)) func() error {
+	return func() error {
+		if banner != "" {
+			fmt.Println(banner)
+		}
+		v, err := run()
+		if err == nil {
+			fmt.Println(render(v))
+		}
+		return err
+	}
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig5, fig6, table2, fig7, fig8, fig9, fig10, table3, read, readpath, smallops, mq, streaming, ablation, stability, scale, scaleout, scaleout128, chaos, selfheal")
+	exp := flag.String("exp", "all", "experiment to run: all, or one experiment name (see the package documentation)")
 	quick := flag.Bool("quick", false, "short runs (8s window) instead of the paper's 60s")
 	seconds := flag.Int("seconds", 0, "override the measured window length in seconds")
 	threads := flag.Int("threads", 16, "concurrent bench clients")
@@ -30,13 +60,6 @@ func main() {
 	traceRun := flag.Bool("trace", false, "run traced benchmarks (baseline + DoCeph) and print per-stage CPU/latency breakdowns")
 	traceOut := flag.String("trace-out", "", "with -trace: write Chrome trace_event JSON to <prefix>-baseline.json and <prefix>-doceph.json")
 	traceSize := flag.Int64("trace-size", 4<<20, "with -trace: request size in bytes")
-	batchBytes := flag.Int64("batch-bytes", 0, "smallops: max coalesced frame payload bytes (0 = default 1MB)")
-	batchOpBytes := flag.Int64("batch-op-bytes", 0, "smallops: largest op eligible for batching (0 = default 256KB)")
-	batchDelayUs := flag.Int64("batch-delay-us", 0, "smallops: max per-op batching delay in µs (0 = default 400)")
-	batchIdleUs := flag.Int64("batch-idle-us", 0, "smallops: queue-idle flush gap in µs (0 = default 40)")
-	dmaQueues := flag.Int("dma-queues", 0, "DPU DMA engine queues on DoCeph arms (0 = default 1, the serial engine)")
-	opShards := flag.Int("op-shards", 0, "OSD op-queue shards (0 = default 1)")
-	msgrLanes := flag.Int("msgr-lanes", 0, "messenger lanes per connection (0 = follow -dma-queues)")
 	simWorkers := flag.String("sim-workers", "", "scaleout/scaleout128: comma-separated parallel kernel worker counts to compare (default 1,2,4,8)")
 	flag.Parse()
 
@@ -49,259 +72,159 @@ func main() {
 	}
 	opts.Threads = *threads
 	opts.Seed = *seed
-	opts.Batch = doceph.BatchConfig{
-		MaxBatchBytes: *batchBytes,
-		MaxOpBytes:    *batchOpBytes,
-		MaxDelay:      doceph.Duration(*batchDelayUs) * doceph.Microsecond,
-		IdleDelay:     doceph.Duration(*batchIdleUs) * doceph.Microsecond,
-	}
-	opts.DMAQueues = *dmaQueues
-	opts.OpShards = *opShards
-	opts.MsgrLanes = *msgrLanes
-	fopts := doceph.FaultOptions{Duration: opts.Duration, Threads: opts.Threads, Seed: opts.Seed}
 
-	// -trace alone means "just the traced run": keep the full sweep only if
-	// the user also asked for a specific experiment.
-	if *traceRun && *exp == "all" {
-		*exp = "none"
-	}
-
-	want := func(names ...string) bool {
-		if *exp == "all" {
-			return true
-		}
-		for _, n := range names {
-			if strings.EqualFold(*exp, n) {
-				return true
-			}
-		}
-		return false
-	}
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "docephbench:", err)
-		os.Exit(1)
-	}
-
-	if want("fig5", "fig6", "table2") {
+	// Experiments that render several tables run once, on first use.
+	profile := sync.OnceValues(func() (doceph.MessengerProfileResult, error) {
 		fmt.Println("running messenger profile (baseline, 1G vs 100G)...")
-		prof, err := doceph.RunMessengerProfile(opts)
-		if err != nil {
-			fail(err)
-		}
-		if want("fig5") {
-			fmt.Println(prof.Fig5Table())
-		}
-		if want("fig6") {
-			fmt.Println(prof.Fig6Table())
-		}
-		if want("table2") {
-			fmt.Println(prof.Table2())
-		}
-	}
-
-	if want("fig7", "fig8", "fig9", "fig10", "table3") {
+		return doceph.RunMessengerProfile(opts)
+	})
+	sizes := sync.OnceValues(func() ([]doceph.SizeComparison, error) {
 		fmt.Println("running size sweep (baseline vs DoCeph, 1-16MB writes)...")
-		rows, err := doceph.RunSizeSweep(opts, nil)
-		if err != nil {
-			fail(err)
-		}
-		if want("fig7") {
-			fmt.Println(doceph.Fig7Table(rows))
-		}
-		if want("fig8") {
-			fmt.Println(doceph.Fig8Table(rows))
-		}
-		if want("table3") {
-			fmt.Println(doceph.Table3(rows))
-		}
-		if want("fig9") {
-			fmt.Println(doceph.Fig9Table(rows))
-		}
-		if want("fig10") {
-			fmt.Println(doceph.Fig10Table(rows))
-		}
-	}
-
-	// Smallops is opt-in (not part of "all"): it is an extension below the
-	// paper's 1MB floor, probing the Figure-10 gap and what adaptive
-	// batching buys back.
-	if strings.EqualFold(*exp, "smallops") {
-		fmt.Println("running small-op sweep (baseline vs DoCeph vs DoCeph+batching, 4-256KB writes)...")
-		rows, err := doceph.RunSmallOpsSweep(opts, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.SmallOpsTable(rows))
-	}
-
-	// The multi-queue ablation is opt-in (not part of "all"): like smallops
-	// it is an extension probing the serial-engine ceiling below the
-	// paper's 1MB floor.
-	if strings.EqualFold(*exp, "mq") {
-		fmt.Println("running multi-queue ablation (batched DoCeph, 1/2/4/8 queues, 4-64KB writes)...")
-		rows, err := doceph.RunMultiQueueSweep(opts, nil, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.MultiQueueTable(rows))
-	}
-
-	if want("read") {
-		fmt.Println("running read-path extension sweep...")
-		rows, err := doceph.RunReadSweep(opts, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.ReadTable(rows))
-	}
-
-	// Readpath is opt-in (not part of "all"): it is the full read-path
-	// extension — op mixes, queue depth, replica-read balancing and the
-	// DPU-side read cache, plus the RBD-style striped block device.
-	if strings.EqualFold(*exp, "readpath") {
-		fmt.Println("running read-path ablation (op mix x balance x DPU cache x deployment)...")
-		rows, err := doceph.RunReadPathAblation(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.ReadPathTable(rows))
-		fmt.Println("running block-device comparison (striped RBD-style volume)...")
-		brows, err := doceph.RunBlockDeviceComparison(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.BlockDeviceTable(brows))
-	}
-
-	// Streaming is opt-in (not part of "all"): it ablates the flow-controlled
-	// chunk-pipelined data plane against store-and-forward for large objects,
-	// across credit-window sizes on both deployments.
-	if strings.EqualFold(*exp, "streaming") {
-		fmt.Println("running streaming ablation (store-and-forward vs chunk pipelining, 4-64MB writes)...")
-		rows, err := doceph.RunStreamingAblation(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.StreamingTable(rows))
-	}
-
-	if want("stability") {
-		fmt.Println("running stability comparison (per-second throughput)...")
-		r, err := doceph.RunStability(opts, 4<<20)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.StabilityTable(r))
-	}
-
-	if want("scale") {
-		fmt.Println("running scale-out sweep (2/4/8 nodes)...")
-		rows, err := doceph.RunScaleSweep(opts, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.ScaleTable(rows))
-	}
-
-	// Scaleout and scaleout128 are opt-in (not part of "all"): two presets
-	// of the partitioned scale-out runner. Each runs its arms on the
-	// parallel event kernel and re-runs one arm at every -sim-workers count,
-	// failing unless the full simulated result is byte-identical across
-	// counts; only wall-clock throughput may move.
-	for _, p := range []struct {
-		name, banner string
-		quick        doceph.Duration
-		preset       func(seed int64, window, warmup doceph.Duration) doceph.ScaleOutOptions
-	}{
-		{"scaleout", "running partitioned scale-out (8 racks x 4 OSDs, parallel kernel)...",
-			doceph.Second, doceph.ScaleOut32},
-		{"scaleout128", "running 128-OSD scale-out (16 racks x 8 OSDs, popularity x balance-reads)...",
-			500 * doceph.Millisecond, doceph.ScaleOut128},
-	} {
-		if !strings.EqualFold(*exp, p.name) {
-			continue
-		}
-		fmt.Println(p.banner)
-		var window, warmup doceph.Duration
-		if *seconds > 0 {
-			window = doceph.Duration(*seconds) * doceph.Second
-		} else if *quick {
-			window, warmup = p.quick, 250*doceph.Millisecond
-		}
-		sopts := p.preset(opts.Seed, window, warmup)
-		if *simWorkers != "" {
-			counts, err := perf.ParseWorkerList(*simWorkers)
-			if err != nil {
-				fail(err)
+		return doceph.RunSizeSweep(opts, nil)
+	})
+	// scaleOut runs one preset of the partitioned scale-out runner on the
+	// parallel event kernel, re-running its sweep arm at every -sim-workers
+	// count; the runner fails unless the full simulated result is
+	// byte-identical across counts (only wall-clock throughput may move).
+	scaleOut := func(banner string, quickWindow doceph.Duration,
+		preset func(seed int64, window, warmup doceph.Duration) doceph.ScaleOutOptions) func() error {
+		return func() error {
+			fmt.Println(banner)
+			var window, warmup doceph.Duration
+			if *seconds > 0 {
+				window = doceph.Duration(*seconds) * doceph.Second
+			} else if *quick {
+				window, warmup = quickWindow, 250*doceph.Millisecond
 			}
-			sopts.Workers = counts
+			sopts := preset(opts.Seed, window, warmup)
+			if *simWorkers != "" {
+				counts, err := perf.ParseWorkerList(*simWorkers)
+				if err != nil {
+					return err
+				}
+				sopts.Workers = counts
+			}
+			rows, err := doceph.RunScaleOut(sopts)
+			if err == nil {
+				fmt.Println(doceph.ScaleOutTable(rows))
+			}
+			return err
 		}
-		rows, err := doceph.RunScaleOut(sopts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.ScaleOutTable(rows))
 	}
 
-	// Chaos is opt-in (not part of "all"): it is a robustness experiment,
-	// not a paper figure.
-	if strings.EqualFold(*exp, "chaos") {
-		fmt.Println("running chaos experiment (fault plan, baseline vs DoCeph)...")
-		r, err := doceph.RunChaos(fopts, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.ChaosTable(r))
-	}
-
-	// Selfheal is opt-in (not part of "all"): it is a robustness experiment
-	// driving the compound OSD-crash + DPU-fault schedule through the
-	// circuit breaker, degraded-mode writes and recovery QoS, then ablating
-	// breaker x QoS on the DoCeph arm.
-	if strings.EqualFold(*exp, "selfheal") {
-		fmt.Println("running self-healing experiment (OSD crash + DPU fault, baseline vs DoCeph)...")
-		r, err := doceph.RunSelfHeal(fopts, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.SelfHealTable(r))
-		fmt.Println("running self-healing ablation (DoCeph, breaker x QoS)...")
-		rows, err := doceph.RunSelfHealAblation(fopts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(doceph.SelfHealAblationTable(rows))
-	}
-
-	// Tracing is opt-in (not part of "all"): it is an observability view,
-	// not a paper figure.
-	if *traceRun {
-		fmt.Println("running traced benchmark (baseline vs DoCeph)...")
-		r, err := doceph.RunTraceBreakdown(opts, *traceSize)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(r.Baseline.StageTable(r.SizeBytes))
-		fmt.Println(r.DoCeph.StageTable(r.SizeBytes))
-		fmt.Println(r.CPUAttributionTable())
-		if *traceOut != "" {
+	// Extensions outside "all" are below the paper's 1MB floor (smallops,
+	// mq), probe mechanisms the paper leaves to future work (readpath,
+	// streaming), need a larger cluster (scaleout, scaleout128) or are
+	// robustness experiments rather than paper figures (chaos, selfheal).
+	experiments := []experiment{
+		{"fig5", true, show("", doceph.MessengerProfileResult.Fig5Table, profile)},
+		{"fig6", true, show("", doceph.MessengerProfileResult.Fig6Table, profile)},
+		{"table2", true, show("", doceph.MessengerProfileResult.Table2, profile)},
+		{"fig7", true, show("", doceph.Fig7Table, sizes)},
+		{"fig8", true, show("", doceph.Fig8Table, sizes)},
+		{"table3", true, show("", doceph.Table3, sizes)},
+		{"fig9", true, show("", doceph.Fig9Table, sizes)},
+		{"fig10", true, show("", doceph.Fig10Table, sizes)},
+		{"smallops", false, show("running small-op sweep (baseline vs DoCeph vs DoCeph+batching, 4-256KB writes)...",
+			doceph.SmallOpsTable, func() ([]doceph.SmallOpComparison, error) { return doceph.RunSmallOpsSweep(opts, nil) })},
+		{"mq", false, show("running multi-queue ablation (batched DoCeph, 1/2/4/8 queues, 4-64KB writes)...",
+			doceph.MultiQueueTable, func() ([]doceph.MultiQueueCell, error) { return doceph.RunMultiQueueSweep(opts, nil, nil) })},
+		{"read", true, show("running read-path extension sweep...",
+			doceph.ReadTable, func() ([]doceph.ReadComparison, error) { return doceph.RunReadSweep(opts, nil) })},
+		{"readpath", false, func() error {
+			fmt.Println("running read-path ablation (op mix x balance x DPU cache x deployment)...")
+			rows, err := doceph.RunReadPathAblation(opts)
+			if err != nil {
+				return err
+			}
+			fmt.Println(doceph.ReadPathTable(rows))
+			fmt.Println("running block-device comparison (striped RBD-style volume)...")
+			brows, err := doceph.RunBlockDeviceComparison(opts)
+			if err == nil {
+				fmt.Println(doceph.BlockDeviceTable(brows))
+			}
+			return err
+		}},
+		{"streaming", false, show("running streaming ablation (store-and-forward vs chunk pipelining, 4-64MB writes)...",
+			doceph.StreamingTable, func() ([]doceph.StreamingResult, error) { return doceph.RunStreamingAblation(opts) })},
+		{"stability", true, show("running stability comparison (per-second throughput)...",
+			doceph.StabilityTable, func() (doceph.StabilityResult, error) { return doceph.RunStability(opts, 4<<20) })},
+		{"scale", true, show("running scale-out sweep (2/4/8 nodes)...",
+			doceph.ScaleTable, func() ([]doceph.ScaleRow, error) { return doceph.RunScaleSweep(opts, nil) })},
+		{"scaleout", false, scaleOut("running partitioned scale-out (8 racks x 4 OSDs, parallel kernel)...",
+			doceph.Second, doceph.ScaleOut32)},
+		{"scaleout128", false, scaleOut("running 128-OSD scale-out (16 racks x 8 OSDs, popularity x balance-reads)...",
+			500*doceph.Millisecond, doceph.ScaleOut128)},
+		{"chaos", false, show("running chaos experiment (fault plan, baseline vs DoCeph)...",
+			doceph.ChaosTable, func() (doceph.FaultResult, error) { return doceph.RunChaos(opts, 0, nil) })},
+		{"selfheal", false, func() error {
+			fmt.Println("running self-healing experiment (OSD crash + DPU fault, baseline vs DoCeph)...")
+			r, err := doceph.RunSelfHeal(opts, 0, nil)
+			if err != nil {
+				return err
+			}
+			fmt.Println(doceph.SelfHealTable(r))
+			fmt.Println("running self-healing ablation (DoCeph, breaker x QoS)...")
+			rows, err := doceph.RunSelfHealAblation(opts, 0)
+			if err == nil {
+				fmt.Println(doceph.SelfHealAblationTable(rows))
+			}
+			return err
+		}},
+		// Selected by -trace, not -exp.
+		{"trace", false, func() error {
+			fmt.Println("running traced benchmark (baseline vs DoCeph)...")
+			r, err := doceph.RunTraceBreakdown(opts, *traceSize)
+			if err != nil {
+				return err
+			}
+			fmt.Println(r.Baseline.StageTable(r.SizeBytes))
+			fmt.Println(r.DoCeph.StageTable(r.SizeBytes))
+			fmt.Println(r.CPUAttributionTable())
+			if *traceOut == "" {
+				return nil
+			}
 			for _, run := range []doceph.TracedRun{r.Baseline, r.DoCeph} {
 				path := fmt.Sprintf("%s-%s.json", *traceOut, run.Mode)
 				if err := os.WriteFile(path, doceph.ChromeTrace(run.Spans), 0o644); err != nil {
-					fail(err)
+					return err
 				}
 				fmt.Printf("wrote %s (%d spans)\n", path, len(run.Spans))
 			}
-		}
+			return nil
+		}},
+		{"ablation", true, show("running ablations...",
+			doceph.AblationTable, func() ([]doceph.AblationResult, error) { return doceph.RunAblations(opts) })},
 	}
 
-	if want("ablation") {
-		fmt.Println("running ablations...")
-		rows, err := doceph.RunAblations(opts)
-		if err != nil {
-			fail(err)
+	all := *exp == "all"
+	picked := func(e experiment) bool {
+		if e.name == "trace" {
+			return *traceRun
 		}
-		fmt.Println(doceph.AblationTable(rows))
+		// -trace alone means "just the traced run".
+		return all && e.inAll && !*traceRun || strings.EqualFold(*exp, e.name)
+	}
+	var names []string
+	known := all
+	for _, e := range experiments {
+		if e.name != "trace" {
+			names = append(names, e.name)
+			known = known || strings.EqualFold(*exp, e.name)
+		}
+	}
+	if !known {
+		fmt.Fprintf(os.Stderr, "docephbench: unknown experiment %q; want all, %s\n",
+			*exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
+	for _, e := range experiments {
+		if !picked(e) {
+			continue
+		}
+		if err := e.run(); err != nil {
+			fmt.Fprintln(os.Stderr, "docephbench:", err)
+			os.Exit(1)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "seed for the clusters and every fault draw")
 	flag.Parse()
 
-	opts := doceph.FaultOptions{
+	opts := doceph.ExpOptions{
 		Duration: doceph.Duration(*seconds) * doceph.Second,
 		Threads:  *threads,
 		Seed:     *seed,
@@ -39,7 +39,7 @@ func main() {
 		fmt.Println()
 	}
 
-	r, err := doceph.RunChaos(opts, &plan)
+	r, err := doceph.RunChaos(opts, 0, &plan)
 	if err != nil {
 		log.Fatal(err)
 	}

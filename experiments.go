@@ -12,37 +12,18 @@ import (
 	"doceph/internal/osd"
 	"doceph/internal/report"
 	"doceph/internal/sim"
+	"doceph/internal/trace"
 )
 
-// ExpOptions controls how long each experiment runs. The paper uses 60 s
-// runs; Quick options keep CI fast while preserving the shapes.
+// ExpOptions shapes every experiment: the measured window, the warmup
+// before it, the closed-loop client count and the seed. The paper uses 60 s
+// runs; Quick options keep CI fast while preserving the shapes. Fault
+// experiments ignore Warmup: their throughput series covers the whole run.
 type ExpOptions struct {
 	Duration Duration
 	Warmup   Duration
 	Threads  int
 	Seed     int64
-	// Batch sets the batching knobs for sweep arms that run with batching
-	// on (RunSmallOpsSweep's third arm). Enable is forced on there; zero
-	// fields take DefaultBatchConfig values.
-	Batch BatchConfig
-	// DMAQueues sets the DPU DMA engine queue count on every DoCeph arm
-	// (0 keeps the default serial engine, queues=1).
-	DMAQueues int
-	// OpShards sets the OSD op-queue shard count on every arm (0 keeps the
-	// default single queue).
-	OpShards int
-	// MsgrLanes sets the per-connection messenger lane count (multi-QP
-	// transport). 0 follows DMAQueues: a multi-queue DoCeph deployment
-	// provisions one messenger lane per DMA queue, the QP-per-queue model.
-	MsgrLanes int
-}
-
-// lanes resolves the effective messenger lane count.
-func (o ExpOptions) lanes() int {
-	if o.MsgrLanes > 0 {
-		return o.MsgrLanes
-	}
-	return o.DMAQueues
 }
 
 // FullOptions mirrors the paper's methodology (60 s runs, 16 clients).
@@ -72,30 +53,58 @@ func (o ExpOptions) withDefaults() ExpOptions {
 	return o
 }
 
-// runResult bundles everything one benchmark run yields.
+// arm is one cell of a two-node experiment: a cluster and the workload run
+// on it. runArms fills the seed, the window and (when zero) the client
+// count from the experiment's options.
+type arm struct {
+	name  string // error context
+	cfg   ClusterConfig
+	bench BenchConfig
+	// failEvery > 0 makes every node's upstream DMA engine fail each
+	// failEvery-th transfer, set on the built cluster (an engine field, not
+	// a config knob).
+	failEvery int64
+}
+
+// runResult is everything one arm yields: the union of the counters the
+// experiments read, so every arm is scraped the same way.
 type runResult struct {
 	bench     BenchResult
 	hostUtil  float64 // single-core normalization (Fig. 5 right axis)
+	dpuUtil   float64 // DPU ARM, single-core normalization (zero on Baseline)
 	msgrShare float64
 	objShare  float64
 	osdShare  float64
 	msgrSw    int64
 	objSw     int64
 	breakdown core.Breakdown
-	// Batching counters, summed over nodes (zero on Baseline / unbatched).
+	// balancedReads counts reads the client sent to a non-primary replica.
+	balancedReads int64
+	// streamWrites sums the OSDs' streamed client writes.
+	streamWrites int64
+	// DPU data-path counters, summed over nodes (zero on Baseline):
+	// batching, control-channel negotiations, host-path fallbacks (segments
+	// plus whole transactions), upstream DMA errors and read-cache lookups.
 	batchedTxns  int64
 	batchFlushes int64
-	// Upstream DMA engine accounting, summed over nodes (zero on Baseline):
-	// engBusy is the total queue service time, engQueues the per-node queue
-	// count, engNodes the number of bridges — together they give the engine
-	// occupancy over a run window.
+	negotiations int64
+	fallbacks    int64
+	dmaErrors    int64
+	cacheHits    int64
+	cacheMisses  int64
+	// peakStaging is the max per-node DPU staging high-water mark.
+	peakStaging int64
+	// Upstream DMA engine accounting (zero on Baseline): engBusy is the
+	// total queue service time, engQueues the per-node queue count, engNodes
+	// the number of bridges — together they give the engine occupancy over
+	// a run window.
 	engBusy   sim.Duration
 	engQueues int
 	engNodes  int
-	// Streaming counters: streamed client writes summed over OSDs, and the
-	// max per-node DPU staging high-water mark (zero on Baseline).
-	streamWrites int64
-	peakStaging  int64
+	// Traced arms only (cfg.Trace): the measured window's finished spans
+	// and each processor's accounted busy time over it.
+	spans []TraceSpan
+	busy  map[string]Duration
 }
 
 // engineOccupancy is the fraction of total queue capacity the upstream
@@ -108,60 +117,106 @@ func (r runResult) engineOccupancy(window sim.Duration) float64 {
 	return float64(r.engBusy) / den
 }
 
-// runWorkload builds a fresh cluster and executes one benchmark on it.
-func runWorkload(mode Mode, linkBps float64, size int64, op BenchConfig, opts ExpOptions) (runResult, error) {
-	return runWorkloadCfg(mode, linkBps, size, op, opts, nil)
+// runArms runs every arm on its own fresh cluster, in parallel, and returns
+// the results in arm order.
+func runArms(opts ExpOptions, arms []arm) ([]runResult, error) {
+	out := make([]runResult, len(arms))
+	err := runParallel(len(arms), func(i int) error {
+		r, err := runArm(opts, arms[i])
+		if err != nil {
+			return fmt.Errorf("%s: %w", arms[i].name, err)
+		}
+		out[i] = r
+		return nil
+	})
+	return out, err
 }
 
-// runWorkloadCfg is runWorkload with a cluster-config mutator, for arms that
-// flip mechanism knobs (batching, channels, ...) on an otherwise identical
-// testbed.
-func runWorkloadCfg(mode Mode, linkBps float64, size int64, op BenchConfig,
-	opts ExpOptions, mut func(*ClusterConfig)) (runResult, error) {
-	cfg := ClusterConfig{Mode: mode, LinkBytesPerSec: linkBps, Seed: opts.Seed}
-	cfg.Bridge.Engine.Queues = opts.DMAQueues
-	cfg.OSD.OpShards = opts.OpShards
-	cfg.Messenger.Lanes = opts.lanes()
-	if mut != nil {
-		mut(&cfg)
-	}
+// runArm builds a's cluster, runs its benchmark and scrapes every counter.
+// A traced arm must also pass the span-nesting and CPU-conservation checks.
+func runArm(opts ExpOptions, a arm) (runResult, error) {
+	cfg := a.cfg
+	cfg.Seed = opts.Seed
 	cl := NewCluster(cfg)
 	defer cl.Shutdown()
-	op.Threads = opts.Threads
-	op.ObjectBytes = size
-	op.Duration = opts.Duration
-	op.Warmup = opts.Warmup
-	op.OnWarmupEnd = cl.ResetHostStats
+	if a.failEvery > 0 {
+		for _, n := range cl.Nodes {
+			n.Bridge.EngUp.FailEvery = a.failEvery
+		}
+	}
+	op := a.bench
+	if op.Threads == 0 {
+		op.Threads = opts.Threads
+	}
+	op.Duration, op.Warmup = opts.Duration, opts.Warmup
 	bench, err := RunBench(cl, op)
 	if err != nil {
 		return runResult{}, err
 	}
 	m := cl.HostCPUMerged()
 	r := runResult{
-		bench:     bench,
-		hostUtil:  m.SingleCoreUtilization(),
-		msgrShare: m.ShareOf(messenger.ThreadCat),
-		objShare:  m.ShareOf(bluestore.ThreadCat),
-		osdShare:  m.ShareOf(osd.ThreadCat),
-		msgrSw:    m.SwitchesByCat[messenger.ThreadCat],
-		objSw:     m.SwitchesByCat[bluestore.ThreadCat],
-		breakdown: cl.ProxyBreakdownMerged(),
+		bench:         bench,
+		hostUtil:      m.SingleCoreUtilization(),
+		dpuUtil:       cl.DPUCPUMerged().SingleCoreUtilization(),
+		msgrShare:     m.ShareOf(messenger.ThreadCat),
+		objShare:      m.ShareOf(bluestore.ThreadCat),
+		osdShare:      m.ShareOf(osd.ThreadCat),
+		msgrSw:        m.SwitchesByCat[messenger.ThreadCat],
+		objSw:         m.SwitchesByCat[bluestore.ThreadCat],
+		breakdown:     cl.ProxyBreakdownMerged(),
+		balancedReads: cl.Client.Stats().BalancedReads,
 	}
 	for _, n := range cl.Nodes {
 		r.streamWrites += n.OSD.Stats().StreamWrites
-		if n.Bridge != nil {
-			st := n.Bridge.Proxy.Stats()
-			r.batchedTxns += st.BatchedTxns
-			r.batchFlushes += st.BatchFlushes
-			if st.PeakStagingBytes > r.peakStaging {
-				r.peakStaging = st.PeakStagingBytes
+		if n.Bridge == nil {
+			continue
+		}
+		st := n.Bridge.Proxy.Stats()
+		r.batchedTxns += st.BatchedTxns
+		r.batchFlushes += st.BatchFlushes
+		r.negotiations += n.Bridge.CC.Negotiations()
+		r.fallbacks += st.FallbackSegments + st.FallbackTxns
+		r.cacheHits += st.ReadCacheHits
+		r.cacheMisses += st.ReadCacheMisses
+		r.peakStaging = max(r.peakStaging, st.PeakStagingBytes)
+		eng := n.Bridge.EngUp.Stats()
+		r.dmaErrors += eng.Errors
+		r.engBusy += eng.Busy
+		r.engQueues = n.Bridge.EngUp.NumQueues()
+		r.engNodes++
+	}
+	if cfg.Trace {
+		r.spans = cl.Tracer.Spans()
+		r.busy = map[string]Duration{cl.ClientCPU.Name(): cl.ClientCPU.Stats().TotalBusy}
+		for _, n := range cl.Nodes {
+			r.busy[n.HostCPU.Name()] = n.HostCPU.Stats().TotalBusy
+			if n.DPU != nil {
+				r.busy[n.DPU.CPU.Name()] = n.DPU.CPU.Stats().TotalBusy
 			}
-			r.engBusy += n.Bridge.EngUp.Stats().Busy
-			r.engQueues = n.Bridge.EngUp.NumQueues()
-			r.engNodes++
+		}
+		if err := trace.CheckInvariants(r.spans); err != nil {
+			return runResult{}, fmt.Errorf("trace invariants: %w", err)
+		}
+		if err := trace.CheckCPUConservation(r.spans, r.busy); err != nil {
+			return runResult{}, fmt.Errorf("trace cpu conservation: %w", err)
 		}
 	}
 	return r, nil
+}
+
+// deploymentArms returns a Baseline and a DoCeph arm per size, in that
+// order, on otherwise identical clusters and workloads.
+func deploymentArms(what string, sizes []int64, cfg ClusterConfig, bench BenchConfig) []arm {
+	arms := make([]arm, 0, 2*len(sizes))
+	for _, size := range sizes {
+		for _, mode := range []Mode{Baseline, DoCeph} {
+			a := arm{name: fmt.Sprintf("%s %v %s", what, mode, report.MB(size)), cfg: cfg, bench: bench}
+			a.cfg.Mode = mode
+			a.bench.ObjectBytes = size
+			arms = append(arms, a)
+		}
+	}
+	return arms
 }
 
 // runParallel executes n independent simulation cells on up to GOMAXPROCS
@@ -230,23 +285,23 @@ type MessengerProfileResult struct {
 // (Fig. 5), throughput (Fig. 6) and context switches (Table 2).
 func RunMessengerProfile(opts ExpOptions) (MessengerProfileResult, error) {
 	opts = opts.withDefaults()
-	var out MessengerProfileResult
 	links := []struct {
 		name string
 		bps  float64
-		dst  *LinkProfile
-	}{
-		{"1Gbps", Link1G, &out.OneG},
-		{"100Gbps", Link100G, &out.HundredG},
+	}{{"1Gbps", Link1G}, {"100Gbps", Link100G}}
+	arms := make([]arm, len(links))
+	for i, l := range links {
+		arms[i] = arm{name: "profile " + l.name, cfg: ClusterConfig{LinkBytesPerSec: l.bps},
+			bench: BenchConfig{ObjectBytes: 4 << 20}}
 	}
-	err := runParallel(len(links), func(i int) error {
-		link := links[i]
-		r, err := runWorkload(Baseline, link.bps, 4<<20, BenchConfig{}, opts)
-		if err != nil {
-			return fmt.Errorf("profile %s: %w", link.name, err)
-		}
-		*link.dst = LinkProfile{
-			LinkName:       link.name,
+	rs, err := runArms(opts, arms)
+	if err != nil {
+		return MessengerProfileResult{}, err
+	}
+	profile := func(i int) LinkProfile {
+		r := rs[i]
+		return LinkProfile{
+			LinkName:       links[i].name,
 			MsgrShare:      r.msgrShare,
 			ObjShare:       r.objShare,
 			OSDShare:       r.osdShare,
@@ -255,9 +310,8 @@ func RunMessengerProfile(opts ExpOptions) (MessengerProfileResult, error) {
 			MsgrSwitches:   r.msgrSw,
 			ObjSwitches:    r.objSw,
 		}
-		return nil
-	})
-	return out, err
+	}
+	return MessengerProfileResult{OneG: profile(0), HundredG: profile(1)}, nil
 }
 
 // Fig5Table renders the CPU-share breakdown (paper: messenger ~81%/82.5%,
@@ -340,21 +394,7 @@ func RunSizeSweep(opts ExpOptions, sizes []int64) ([]SizeComparison, error) {
 	if len(sizes) == 0 {
 		sizes = PaperSizes
 	}
-	// Flatten the (size x deployment) grid into independent parallel cells.
-	cells := make([]runResult, 2*len(sizes))
-	err := runParallel(len(cells), func(i int) error {
-		size, arm := sizes[i/2], i%2
-		mode, name := Baseline, "baseline"
-		if arm == 1 {
-			mode, name = DoCeph, "doceph"
-		}
-		r, err := runWorkload(mode, Link100G, size, BenchConfig{}, opts)
-		if err != nil {
-			return fmt.Errorf("%s %dMB: %w", name, size>>20, err)
-		}
-		cells[i] = r
-		return nil
-	})
+	cells, err := runArms(opts, deploymentArms("write", sizes, ClusterConfig{}, BenchConfig{}))
 	if err != nil {
 		return nil, err
 	}
@@ -511,37 +551,24 @@ var SmallOpSizes = []int64{4 << 10, 16 << 10, 64 << 10, 256 << 10}
 // RunSmallOpsSweep measures IOPS for small requests under three arms:
 // Baseline, DoCeph with per-op DMA (the Figure 10 regime, where ~1.6 ms of
 // setup per transfer caps small-op IOPS), and DoCeph with adaptive batching
-// (opts.Batch, Enable forced on), which amortizes one setup across a frame
-// of coalesced ops.
+// (default knobs), which amortizes one setup across a frame of coalesced ops.
 func RunSmallOpsSweep(opts ExpOptions, sizes []int64) ([]SmallOpComparison, error) {
 	opts = opts.withDefaults()
 	if len(sizes) == 0 {
 		sizes = SmallOpSizes
 	}
-	// Three arms per size, each an independent parallel cell.
-	cells := make([]runResult, 3*len(sizes))
-	err := runParallel(len(cells), func(i int) error {
-		size, arm := sizes[i/3], i%3
-		var r runResult
-		var err error
-		switch arm {
-		case 0:
-			r, err = runWorkload(Baseline, Link100G, size, BenchConfig{}, opts)
-		case 1:
-			r, err = runWorkload(DoCeph, Link100G, size, BenchConfig{}, opts)
-		default:
-			r, err = runWorkloadCfg(DoCeph, Link100G, size, BenchConfig{}, opts,
-				func(c *ClusterConfig) {
-					c.Bridge.Batch = opts.Batch
-					c.Bridge.Batch.Enable = true
-				})
-		}
-		if err != nil {
-			return fmt.Errorf("smallops arm %d %dKB: %w", arm, size>>10, err)
-		}
-		cells[i] = r
-		return nil
-	})
+	// Three arms per size: Baseline, DoCeph, DoCeph with batching.
+	batching := ClusterConfig{Mode: DoCeph}
+	batching.Bridge.Batch.Enable = true
+	arms := make([]arm, 0, 3*len(sizes))
+	for _, size := range sizes {
+		bench := BenchConfig{ObjectBytes: size}
+		arms = append(arms,
+			arm{name: "smallops baseline " + report.KB(size), bench: bench},
+			arm{name: "smallops doceph " + report.KB(size), cfg: ClusterConfig{Mode: DoCeph}, bench: bench},
+			arm{name: "smallops batched " + report.KB(size), cfg: batching, bench: bench})
+	}
+	cells, err := runArms(opts, arms)
 	if err != nil {
 		return nil, err
 	}
@@ -609,21 +636,8 @@ func RunReadSweep(opts ExpOptions, sizes []int64) ([]ReadComparison, error) {
 	if len(sizes) == 0 {
 		sizes = PaperSizes
 	}
-	cells := make([]runResult, 2*len(sizes))
-	err := runParallel(len(cells), func(i int) error {
-		size, arm := sizes[i/2], i%2
-		mode, name := Baseline, "baseline"
-		if arm == 1 {
-			mode, name = DoCeph, "doceph"
-		}
-		cfg := BenchConfig{Op: ReadWorkload, PrepopulateObjects: opts.Threads * 4}
-		r, err := runWorkload(mode, Link100G, size, cfg, opts)
-		if err != nil {
-			return fmt.Errorf("%s read %dMB: %w", name, size>>20, err)
-		}
-		cells[i] = r
-		return nil
-	})
+	read := BenchConfig{Op: ReadWorkload, PrepopulateObjects: opts.Threads * 4}
+	cells, err := runArms(opts, deploymentArms("read", sizes, ClusterConfig{}, read))
 	if err != nil {
 		return nil, err
 	}

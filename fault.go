@@ -39,39 +39,10 @@ const (
 	FaultOSDCrash   = faultinject.OSDCrash
 )
 
-// FaultOptions shapes a fault experiment's workload.
-type FaultOptions struct {
-	// Duration is the workload length (fault windows scale with it).
-	Duration Duration
-	// Threads is the number of closed-loop client workers.
-	Threads int
-	// ObjectBytes is the write size.
-	ObjectBytes int64
-	// Seed seeds both clusters and every probabilistic fault draw.
-	Seed int64
-	// VerifyEvery makes each worker read back one of its own objects after
-	// every VerifyEvery writes (inline integrity checking under faults).
-	VerifyEvery int
-}
-
-func (o FaultOptions) withDefaults() FaultOptions {
-	if o.Duration == 0 {
-		o.Duration = 60 * Second
-	}
-	if o.Threads == 0 {
-		o.Threads = 8
-	}
-	if o.ObjectBytes == 0 {
-		o.ObjectBytes = 1 << 20
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.VerifyEvery == 0 {
-		o.VerifyEvery = 4
-	}
-	return o
-}
+// faultVerifyEvery makes each fault-experiment worker read back one of
+// its own objects after every faultVerifyEvery writes (inline integrity
+// checking under faults).
+const faultVerifyEvery = 4
 
 // FaultModeResult is one deployment's behaviour under a fault plan. Every
 // counter is collected on every run; each experiment's table shows the
@@ -137,14 +108,14 @@ type FaultResult struct {
 // runFaultPair runs the harness on both deployments, each on the cluster
 // cfgFor builds for it. The two runs use separate clusters built from the
 // same seed, so they experience the identical fault schedule.
-func runFaultPair(name string, opts FaultOptions, plan FaultPlan,
+func runFaultPair(name string, opts ExpOptions, size int64, plan FaultPlan,
 	cfgFor func(Mode) ClusterConfig, preVerify func(*sim.Proc, *Cluster)) (FaultResult, error) {
 	out := FaultResult{PlanName: plan.Name, Seed: opts.Seed}
 	for _, m := range []struct {
 		mode Mode
 		dst  *FaultModeResult
 	}{{Baseline, &out.Baseline}, {DoCeph, &out.DoCeph}} {
-		r, err := runFaultMode(name, cfgFor(m.mode), preVerify, opts, plan)
+		r, err := runFaultMode(name, cfgFor(m.mode), preVerify, opts, size, plan)
 		if err != nil {
 			return out, fmt.Errorf("%s %v: %w", name, m.mode, err)
 		}
@@ -153,12 +124,15 @@ func runFaultPair(name string, opts FaultOptions, plan FaultPlan,
 	return out, nil
 }
 
-// runFaultMode is the shared write/verify harness. name names every object
-// and proc of the run, so it fixes CRUSH placement and with it the results;
-// preVerify runs after the workload has drained and before every written
-// object is read back.
+// runFaultMode is the shared write/verify harness, writing size-byte
+// objects (0 means 1 MB). name names every object and proc of the run, so it
+// fixes CRUSH placement and with it the results; preVerify runs after the
+// workload has drained and before every written object is read back.
 func runFaultMode(name string, cfg ClusterConfig, preVerify func(*sim.Proc, *Cluster),
-	opts FaultOptions, plan FaultPlan) (FaultModeResult, error) {
+	opts ExpOptions, size int64, plan FaultPlan) (FaultModeResult, error) {
+	if size == 0 {
+		size = 1 << 20
+	}
 	cl := NewCluster(cfg)
 	defer cl.Shutdown()
 	res := FaultModeResult{Mode: cfg.Mode.String()}
@@ -168,7 +142,7 @@ func runFaultMode(name string, cfg ClusterConfig, preVerify func(*sim.Proc, *Clu
 		return res, fmt.Errorf("fault plan rejected: %w", err)
 	}
 
-	payload := make([]byte, opts.ObjectBytes)
+	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i * 2654435761)
 	}
@@ -217,8 +191,8 @@ func runFaultMode(name string, cfg ClusterConfig, preVerify func(*sim.Proc, *Clu
 					continue
 				}
 				written[worker] = append(written[worker], obj)
-				record(p.Now(), opts.ObjectBytes)
-				if n := len(written[worker]); n > 0 && n%opts.VerifyEvery == 0 {
+				record(p.Now(), size)
+				if n := len(written[worker]); n > 0 && n%faultVerifyEvery == 0 {
 					pick := written[worker][cl.Env.Rand().Intn(n)]
 					res.Ops++
 					verify(p, pick)

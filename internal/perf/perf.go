@@ -182,28 +182,25 @@ func scaleOutBase(name string) string {
 	return name
 }
 
-// SmokeSweep is the short variant wired into `make all`: one scenario per
-// mode plus the multi-queue shape, enough to catch a gross perf or
-// determinism regression fast.
+// SmokeSweep is the short variant wired into `make all`, derived from
+// DefaultSweep: every row but the 4 MB ones, at most 8 clients and 2 s
+// windows, and the scale-out shapes at 1 and 4 kernel workers with 1 s
+// windows — enough to catch a gross perf or determinism regression fast.
 func SmokeSweep() []Scenario {
-	return []Scenario{
-		{Name: "baseline-1M", Mode: cluster.Baseline, ObjectBytes: 1 << 20, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42},
-		{Name: "doceph-1M", Mode: cluster.DoCeph, ObjectBytes: 1 << 20, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42},
-		{Name: "doceph-mq4-64K", Mode: cluster.DoCeph, ObjectBytes: 64 << 10, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42,
-			DMAQueues: 4, OpShards: 4, MsgrLanes: 4, Batch: true},
-		{Name: "doceph-degraded-4K", Mode: cluster.DoCeph, ObjectBytes: 4 << 10, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42,
-			Degraded: true},
-		{Name: "doceph-read-4K", Mode: cluster.DoCeph, ObjectBytes: 4 << 10, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42,
-			Op: "read"},
-		{Name: "doceph-mix70-4K", Mode: cluster.DoCeph, ObjectBytes: 4 << 10, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42,
-			Op: "mixed", ReadPercent: 70},
-		{Name: "doceph-stream-16M", Mode: cluster.DoCeph, ObjectBytes: 16 << 20, Threads: 4, DurationSec: 2, WarmupSec: 1, Seed: 42,
-			Stream: true},
-		scaleOutAt(scaleOut32, 1, 1),
-		scaleOutAt(scaleOut32, 4, 1),
-		scaleOutAt(scaleOut128, 1, 1),
-		scaleOutAt(scaleOut128, 4, 1),
+	var out []Scenario
+	for _, sc := range ScaleOutWorkerRows(DefaultSweep(), []int{1, 4}) {
+		switch {
+		case sc.ScaleOutPods > 0:
+			sc.DurationSec = 1
+		case sc.ObjectBytes == 4<<20:
+			continue
+		default:
+			sc.Threads = min(sc.Threads, 8)
+			sc.DurationSec = 2
+		}
+		out = append(out, sc)
 	}
+	return out
 }
 
 // Measurement is the outcome of one scenario.

@@ -396,3 +396,41 @@ func TestGuardPerScenario(t *testing.T) {
 		t.Errorf("unmeasured fields compared: %v", err)
 	}
 }
+
+// TestSmokeSweepRowsPinned pins the smoke sweep field for field: it is
+// derived from DefaultSweep, and the derivation must keep producing the
+// rows `simbench -smoke` and the bench-smoke guard have always run.
+func TestSmokeSweepRowsPinned(t *testing.T) {
+	const d = cluster.DoCeph
+	want := []Scenario{
+		{Name: "baseline-1M", Mode: cluster.Baseline, ObjectBytes: 1 << 20, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42},
+		{Name: "doceph-1M", Mode: d, ObjectBytes: 1 << 20, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42},
+		{Name: "doceph-mq4-64K", Mode: d, ObjectBytes: 64 << 10, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42,
+			DMAQueues: 4, OpShards: 4, MsgrLanes: 4, Batch: true},
+		{Name: "doceph-degraded-4K", Mode: d, ObjectBytes: 4 << 10, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42,
+			Degraded: true},
+		{Name: "doceph-read-4K", Mode: d, ObjectBytes: 4 << 10, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42,
+			Op: "read"},
+		{Name: "doceph-mix70-4K", Mode: d, ObjectBytes: 4 << 10, Threads: 8, DurationSec: 2, WarmupSec: 1, Seed: 42,
+			Op: "mixed", ReadPercent: 70},
+		{Name: "doceph-stream-16M", Mode: d, ObjectBytes: 16 << 20, Threads: 4, DurationSec: 2, WarmupSec: 1, Seed: 42,
+			Stream: true},
+		{Name: "doceph-scaleout-32osd@w1", Mode: d, ObjectBytes: 256 << 10, Threads: 4, DurationSec: 1, WarmupSec: 1, Seed: 42,
+			ScaleOutPods: 8, OSDsPerPod: 4, SimWorkers: 1},
+		{Name: "doceph-scaleout-32osd@w4", Mode: d, ObjectBytes: 256 << 10, Threads: 4, DurationSec: 1, WarmupSec: 1, Seed: 42,
+			ScaleOutPods: 8, OSDsPerPod: 4, SimWorkers: 4},
+		{Name: "doceph-scaleout-128osd@w1", Mode: d, ObjectBytes: 64 << 10, Threads: 2, DurationSec: 1, WarmupSec: 1, Seed: 42,
+			ScaleOutPods: 16, OSDsPerPod: 8, SimWorkers: 1, Workload: "zipf", ReadPercent: 70, BalanceReads: true},
+		{Name: "doceph-scaleout-128osd@w4", Mode: d, ObjectBytes: 64 << 10, Threads: 2, DurationSec: 1, WarmupSec: 1, Seed: 42,
+			ScaleOutPods: 16, OSDsPerPod: 8, SimWorkers: 4, Workload: "zipf", ReadPercent: 70, BalanceReads: true},
+	}
+	got := SmokeSweep()
+	if len(got) != len(want) {
+		t.Fatalf("smoke sweep has %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("row %d:\n got  %+v\n want %+v", i, got[i], want[i])
+		}
+	}
+}

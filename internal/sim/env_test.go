@@ -395,3 +395,37 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 	env.Shutdown()
 	settleGoroutines(t, before)
 }
+
+// TestGroupProcPanicReachesRunCaller: under the parallel kernel a proc body
+// runs on a worker goroutine, yet its panic still surfaces on the goroutine
+// that called Group.Run, with its original value, and the group can still
+// be shut down.
+func TestGroupProcPanicReachesRunCaller(t *testing.T) {
+	type boom struct{ code int }
+	before := runtime.NumGoroutine()
+	g := NewGroup()
+	a, b := NewEnv(1), NewEnv(2)
+	pa, pb := g.Add("a", a), g.Add("b", b)
+	ab := g.Connect("a->b", pa, pb, 10*Microsecond)
+	a.Spawn("sender", func(p *Proc) {
+		p.Wait(Millisecond)
+		ab.Send(p, 1)
+	})
+	b.Spawn("faulty", func(p *Proc) {
+		ab.Recv(p)
+		panic(boom{code: 9})
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = g.Run(2, MaxTime)
+	}()
+	if got != (boom{code: 9}) {
+		t.Fatalf("recovered %#v, want boom{9}", got)
+	}
+	if want := Time(Millisecond + 10*Microsecond); b.Now() != want {
+		t.Fatalf("partition b now=%v, want %v", b.Now(), want)
+	}
+	g.Shutdown()
+	settleGoroutines(t, before)
+}

@@ -302,20 +302,21 @@ func (g *Group) Run(workers int, limit Time) error {
 		g.computeDist()
 	}
 
-	type job struct {
-		env    *Env
-		target Time
-	}
-	var wg sync.WaitGroup
-	var jobs chan job
+	var (
+		wg   sync.WaitGroup
+		jobs chan windowJob
+		// panics[i] holds partition i's proc-body panic from the round's
+		// worker window, re-raised here after the barrier.
+		panics []any
+	)
 	if workers > 1 {
-		jobs = make(chan job)
+		jobs = make(chan windowJob)
+		panics = make([]any, n)
 		defer close(jobs)
 		for w := 0; w < workers; w++ {
 			go func() {
 				for j := range jobs {
-					j.env.runWindow(j.target)
-					wg.Done()
+					j.run(&wg)
 				}
 			}()
 		}
@@ -353,13 +354,20 @@ func (g *Group) Run(workers int, limit Time) error {
 			ran++
 			if workers > 1 {
 				wg.Add(1)
-				jobs <- job{e, target}
+				jobs <- windowJob{e, target, &panics[i]}
 			} else {
 				e.runWindow(target)
 			}
 		}
 		if workers > 1 {
 			wg.Wait()
+			// Like the serial kernel, a proc-body panic reaches the caller
+			// of Run with its original value (the lowest partition's first).
+			for _, p := range panics {
+				if p != nil {
+					panic(p)
+				}
+			}
 		}
 		if ran == 0 {
 			// Unreachable: the partition holding the globally earliest
@@ -388,6 +396,26 @@ func (g *Group) Run(workers int, limit Time) error {
 	}
 	g.started = false
 	return g.deadlock()
+}
+
+// windowJob is one partition window dispatched to a worker goroutine.
+type windowJob struct {
+	env      *Env
+	target   Time
+	panicked *any
+}
+
+// run executes the window and marks it done. A proc-body panic is recovered
+// into j.panicked, once per window and without allocating, so it cannot end
+// the process on the worker goroutine; Run re-raises it on its caller.
+func (j windowJob) run(wg *sync.WaitGroup) {
+	defer wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			*j.panicked = r
+		}
+	}()
+	j.env.runWindow(j.target)
 }
 
 // deadlock builds the per-partition diagnostic error, or returns nil when

@@ -37,7 +37,8 @@ var MultiQueueSizes = []int64{4 << 10, 16 << 10, 64 << 10}
 
 // RunMultiQueueSweep measures batched DoCeph at every (size x queues)
 // combination, pairing each queue count with the same number of OSD op
-// shards. All cells run as independent parallel simulations.
+// shards and messenger lanes. All cells run as independent parallel
+// simulations.
 func RunMultiQueueSweep(opts ExpOptions, queues []int, sizes []int64) ([]MultiQueueCell, error) {
 	opts = opts.withDefaults()
 	if len(queues) == 0 {
@@ -46,38 +47,35 @@ func RunMultiQueueSweep(opts ExpOptions, queues []int, sizes []int64) ([]MultiQu
 	if len(sizes) == 0 {
 		sizes = MultiQueueSizes
 	}
-	out := make([]MultiQueueCell, len(sizes)*len(queues))
-	err := runParallel(len(out), func(i int) error {
-		size, nq := sizes[i/len(queues)], queues[i%len(queues)]
-		r, err := runWorkloadCfg(DoCeph, Link100G, size, BenchConfig{}, opts,
-			func(c *ClusterConfig) {
-				c.Bridge.Batch = opts.Batch
-				c.Bridge.Batch.Enable = true
-				c.Bridge.Engine.Queues = nq
-				c.OSD.OpShards = nq
-				if c.Messenger.Lanes = opts.MsgrLanes; c.Messenger.Lanes == 0 {
-					c.Messenger.Lanes = nq
-				}
-			})
-		if err != nil {
-			return fmt.Errorf("mq %dKB q=%d: %w", size>>10, nq, err)
+	arms := make([]arm, 0, len(sizes)*len(queues))
+	for _, size := range sizes {
+		for _, nq := range queues {
+			a := arm{name: fmt.Sprintf("mq %dKB q=%d", size>>10, nq),
+				cfg: ClusterConfig{Mode: DoCeph}, bench: BenchConfig{ObjectBytes: size}}
+			a.cfg.Bridge.Batch.Enable = true
+			a.cfg.Bridge.Engine.Queues = nq
+			a.cfg.OSD.OpShards = nq
+			a.cfg.Messenger.Lanes = nq
+			arms = append(arms, a)
 		}
-		cell := MultiQueueCell{
-			SizeBytes: size,
-			Queues:    nq,
+	}
+	rs, err := runArms(opts, arms)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]MultiQueueCell, len(rs))
+	for i, r := range rs {
+		out[i] = MultiQueueCell{
+			SizeBytes: arms[i].bench.ObjectBytes,
+			Queues:    arms[i].cfg.Bridge.Engine.Queues,
 			IOPS:      r.bench.IOPS(),
 			AvgLat:    r.bench.AvgLatency,
 			HostUtil:  r.hostUtil,
 			Occupancy: r.engineOccupancy(opts.Duration + opts.Warmup),
 		}
 		if r.batchFlushes > 0 {
-			cell.AvgBatchSize = float64(r.batchedTxns) / float64(r.batchFlushes)
+			out[i].AvgBatchSize = float64(r.batchedTxns) / float64(r.batchFlushes)
 		}
-		out[i] = cell
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	// Gains are relative to the first queue count of each size group
 	// (conventionally 1, the serial engine).

@@ -90,55 +90,36 @@ func RunReadPathAblation(opts ExpOptions) ([]ReadPathResult, error) {
 		}
 	}
 
-	out := make([]ReadPathResult, len(variants))
-	err := runParallel(len(variants), func(i int) error {
-		v := variants[i]
-		cfg := ClusterConfig{Mode: v.mode, Seed: opts.Seed}
-		if v.balance {
-			cfg.Client.BalanceReads = true
-		}
-		if v.cache {
-			cfg.Bridge.ReadCache.Enable = true
-		}
-		cl := NewCluster(cfg)
-		defer cl.Shutdown()
-		op := BenchConfig{
-			Threads: opts.Threads, ObjectBytes: readPathSize,
-			Duration: opts.Duration, Warmup: opts.Warmup,
-			QueueDepth: v.qd,
-			Op:         ReadWorkload,
-			Popularity: v.pop,
-		}
+	arms := make([]arm, len(variants))
+	for i, v := range variants {
+		a := arm{name: fmt.Sprintf("readpath %q", v.name), cfg: ClusterConfig{Mode: v.mode},
+			bench: BenchConfig{ObjectBytes: readPathSize, QueueDepth: v.qd, Op: ReadWorkload, Popularity: v.pop}}
+		a.cfg.Client.BalanceReads = v.balance
+		a.cfg.Bridge.ReadCache.Enable = v.cache
 		if v.readPct < 100 {
-			op.Op = MixedWorkload
-			op.ReadPercent = v.readPct
+			a.bench.Op = MixedWorkload
+			a.bench.ReadPercent = v.readPct
 		}
-		bench, err := RunBench(cl, op)
-		if err != nil {
-			return fmt.Errorf("readpath %q: %w", v.name, err)
-		}
-		res := ReadPathResult{
-			Name:          v.name,
-			ReadPct:       v.readPct,
-			QueueDepth:    v.qd,
-			ReadStats:     bench.ReadStats,
-			WriteStats:    bench.WriteStats,
-			Window:        bench.Window,
-			HostUtil:      cl.HostCPUMerged().SingleCoreUtilization(),
-			BalancedReads: cl.Client.Stats().BalancedReads,
-		}
-		for _, n := range cl.Nodes {
-			if n.Bridge != nil {
-				st := n.Bridge.Proxy.Stats()
-				res.CacheHits += st.ReadCacheHits
-				res.CacheMisses += st.ReadCacheMisses
-			}
-		}
-		out[i] = res
-		return nil
-	})
+		arms[i] = a
+	}
+	rs, err := runArms(opts, arms)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]ReadPathResult, len(variants))
+	for i, r := range rs {
+		out[i] = ReadPathResult{
+			Name:          variants[i].name,
+			ReadPct:       variants[i].readPct,
+			QueueDepth:    variants[i].qd,
+			ReadStats:     r.bench.ReadStats,
+			WriteStats:    r.bench.WriteStats,
+			Window:        r.bench.Window,
+			HostUtil:      r.hostUtil,
+			BalancedReads: r.balancedReads,
+			CacheHits:     r.cacheHits,
+			CacheMisses:   r.cacheMisses,
+		}
 	}
 	return out, nil
 }

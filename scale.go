@@ -25,35 +25,34 @@ func RunScaleSweep(opts ExpOptions, nodeCounts []int) ([]ScaleRow, error) {
 	if len(nodeCounts) == 0 {
 		nodeCounts = []int{2, 4, 8}
 	}
-	var out []ScaleRow
+	var arms []arm
 	for _, n := range nodeCounts {
-		row := ScaleRow{Nodes: n}
 		for _, m := range []Mode{Baseline, DoCeph} {
-			cl := NewCluster(ClusterConfig{Mode: m, StorageNodes: n, Seed: opts.Seed})
-			res, err := RunBench(cl, BenchConfig{
-				Threads:     opts.Threads * n / 2, // scale offered load with capacity
-				ObjectBytes: 4 << 20,
-				Duration:    opts.Duration, Warmup: opts.Warmup,
-			})
-			if err != nil {
-				cl.Shutdown()
-				return nil, fmt.Errorf("scale %d nodes %v: %w", n, m, err)
-			}
-			util := cl.HostCPUMerged().SingleCoreUtilization() / float64(n)
-			if m == Baseline {
-				row.BaselineUtil = util
-				row.BaselineMBps = res.ThroughputBps() / 1e6
-			} else {
-				row.DoCephUtil = util
-				row.DoCephMBps = res.ThroughputBps() / 1e6
-				row.DoCephDPUUtil = cl.DPUCPUMerged().SingleCoreUtilization() / float64(n)
-			}
-			cl.Shutdown()
+			arms = append(arms, arm{name: fmt.Sprintf("scale %d nodes %v", n, m),
+				cfg: ClusterConfig{Mode: m, StorageNodes: n},
+				// Offered load scales with capacity.
+				bench: BenchConfig{Threads: opts.Threads * n / 2, ObjectBytes: 4 << 20}})
 		}
-		if row.BaselineUtil > 0 {
-			row.SavingPct = (1 - row.DoCephUtil/row.BaselineUtil) * 100
+	}
+	rs, err := runArms(opts, arms)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ScaleRow, len(nodeCounts))
+	for i, n := range nodeCounts {
+		base, dc := rs[2*i], rs[2*i+1]
+		nodes := float64(n)
+		out[i] = ScaleRow{
+			Nodes:         n,
+			BaselineUtil:  base.hostUtil / nodes,
+			DoCephUtil:    dc.hostUtil / nodes,
+			BaselineMBps:  base.bench.ThroughputBps() / 1e6,
+			DoCephMBps:    dc.bench.ThroughputBps() / 1e6,
+			DoCephDPUUtil: dc.dpuUtil / nodes,
 		}
-		out = append(out, row)
+		if out[i].BaselineUtil > 0 {
+			out[i].SavingPct = (1 - out[i].DoCephUtil/out[i].BaselineUtil) * 100
+		}
 	}
 	return out, nil
 }

@@ -28,11 +28,9 @@ type BreakerConfig = dpu.BreakerConfig
 // the experiment's 30 s floor: the 5 s heartbeat grace means a shorter run
 // (e.g. -quick) never even detects the plan's crash window and the
 // experiment degenerates.
-func selfHealDefaults(o FaultOptions) FaultOptions {
+func selfHealDefaults(o ExpOptions) ExpOptions {
 	o = o.withDefaults()
-	if o.Duration < 30*Second {
-		o.Duration = 30 * Second
-	}
+	o.Duration = max(o.Duration, 30*Second)
 	return o
 }
 
@@ -52,15 +50,16 @@ func SelfHealPlan(d Duration) FaultPlan {
 	}}
 }
 
-// RunSelfHeal executes the self-healing workload on both deployments under
-// plan (nil selects SelfHealPlan), with both mechanisms on.
-func RunSelfHeal(opts FaultOptions, plan *FaultPlan) (FaultResult, error) {
+// RunSelfHeal executes the self-healing workload of size-byte writes (0
+// means 1 MB) on both deployments under plan (nil selects SelfHealPlan),
+// with both mechanisms on.
+func RunSelfHeal(opts ExpOptions, size int64, plan *FaultPlan) (FaultResult, error) {
 	opts = selfHealDefaults(opts)
 	pl := SelfHealPlan(opts.Duration)
 	if plan != nil {
 		pl = *plan
 	}
-	return runFaultPair("selfheal", opts, pl, func(mode Mode) ClusterConfig {
+	return runFaultPair("selfheal", opts, size, pl, func(mode Mode) ClusterConfig {
 		return selfHealClusterConfig(mode, opts, true, true)
 	}, settleBackfill(opts))
 }
@@ -74,7 +73,7 @@ func RunSelfHeal(opts FaultOptions, plan *FaultPlan) (FaultResult, error) {
 // full 60 s these come out to the dpu package defaults. breaker and qos
 // switch the two mechanisms off for the ablation; the breaker only takes
 // effect on DoCeph nodes.
-func selfHealClusterConfig(mode Mode, opts FaultOptions, breaker, qos bool) ClusterConfig {
+func selfHealClusterConfig(mode Mode, opts ExpOptions, breaker, qos bool) ClusterConfig {
 	cfg := ClusterConfig{Mode: mode, Seed: opts.Seed, MinSize: 1}
 	if qos {
 		cfg.OSD.RecoveryMaxPGs = 2
@@ -94,13 +93,8 @@ func selfHealClusterConfig(mode Mode, opts FaultOptions, breaker, qos bool) Clus
 
 // settleBackfill is the self-healing pre-verify step: let the backfill tail
 // drain under its QoS budget before the final verify pass.
-func settleBackfill(opts FaultOptions) func(*sim.Proc, *Cluster) {
+func settleBackfill(opts ExpOptions) func(*sim.Proc, *Cluster) {
 	return func(p *sim.Proc, _ *Cluster) { p.Wait(opts.Duration / 6) }
-}
-
-// runSelfHealMode runs one self-healing deployment on cfg.
-func runSelfHealMode(cfg ClusterConfig, opts FaultOptions, plan FaultPlan) (FaultModeResult, error) {
-	return runFaultMode("selfheal", cfg, settleBackfill(opts), opts, plan)
 }
 
 // SelfHealTable renders the comparison.
@@ -161,8 +155,8 @@ type SelfHealAblationRow struct {
 // RunSelfHealAblation runs the DoCeph deployment through the selfheal plan
 // with each combination of the two mechanisms, plus a fault-free reference
 // row — the marginal value of the breaker and of recovery QoS under the
-// identical failure schedule.
-func RunSelfHealAblation(opts FaultOptions) ([]SelfHealAblationRow, error) {
+// identical failure schedule. size is the write size (0 means 1 MB).
+func RunSelfHealAblation(opts ExpOptions, size int64) ([]SelfHealAblationRow, error) {
 	opts = selfHealDefaults(opts)
 	plan := SelfHealPlan(opts.Duration)
 	variants := []struct {
@@ -178,7 +172,8 @@ func RunSelfHealAblation(opts FaultOptions) ([]SelfHealAblationRow, error) {
 	}
 	var rows []SelfHealAblationRow
 	for _, v := range variants {
-		r, err := runSelfHealMode(selfHealClusterConfig(DoCeph, opts, v.breaker, v.qos), opts, v.plan)
+		r, err := runFaultMode("selfheal", selfHealClusterConfig(DoCeph, opts, v.breaker, v.qos),
+			settleBackfill(opts), opts, size, v.plan)
 		if err != nil {
 			return rows, fmt.Errorf("ablation %q: %w", v.name, err)
 		}

@@ -8,8 +8,8 @@ import (
 
 // selfHealOpts keeps the runs CI-sized; the plan and the breaker clock both
 // scale with the duration, so the open -> half-open -> closed arc still fits.
-func selfHealOpts() FaultOptions {
-	return FaultOptions{Duration: 30 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: 42}
+func selfHealOpts() ExpOptions {
+	return ExpOptions{Duration: 30 * Second, Threads: 4, Seed: 42}
 }
 
 // TestSelfHealRunCompletes is the headline self-healing check: through an
@@ -18,7 +18,7 @@ func selfHealOpts() FaultOptions {
 // host path and re-enroll DMA by run end, degraded writes must flow (and the
 // ledger heal), and the crash-triggered backfill must complete under QoS.
 func TestSelfHealRunCompletes(t *testing.T) {
-	r, err := RunSelfHeal(selfHealOpts(), nil)
+	r, err := RunSelfHeal(selfHealOpts(), faultTestBytes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSelfHealRecoveryQoSProtectsForeground(t *testing.T) {
 			// small 4-thread workload and pacing provably engages.
 			cfg.OSD.RecoveryBps = 8e6
 		}
-		r, err := runSelfHealMode(cfg, opts, plan)
+		r, err := runFaultMode("selfheal", cfg, settleBackfill(opts), opts, faultTestBytes, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,12 +150,12 @@ func TestSelfHealDeterminism(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			opts := FaultOptions{Duration: 12 * Second, Threads: 4, ObjectBytes: 256 << 10, Seed: seed}
-			a, err := RunSelfHeal(opts, nil)
+			opts := ExpOptions{Duration: 12 * Second, Threads: 4, Seed: seed}
+			a, err := RunSelfHeal(opts, faultTestBytes, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := RunSelfHeal(opts, nil)
+			b, err := RunSelfHeal(opts, faultTestBytes, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

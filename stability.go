@@ -30,39 +30,36 @@ func RunStability(opts ExpOptions, size int64) (StabilityResult, error) {
 	if size == 0 {
 		size = 4 << 20
 	}
-	out := StabilityResult{SizeBytes: size}
-	for _, m := range []struct {
-		mode Mode
-		dst  *StabilitySeries
-	}{{Baseline, &out.Baseline}, {DoCeph, &out.DoCeph}} {
-		cl := NewCluster(ClusterConfig{Mode: m.mode, Seed: opts.Seed})
-		res, err := RunBench(cl, BenchConfig{
-			Threads: opts.Threads, ObjectBytes: size,
-			Duration: opts.Duration, Warmup: opts.Warmup,
-		})
-		cl.Shutdown()
-		if err != nil {
-			return out, fmt.Errorf("stability %v: %w", m.mode, err)
+	rs, err := runArms(opts, deploymentArms("stability", []int64{size}, ClusterConfig{}, BenchConfig{}))
+	if err != nil {
+		return StabilityResult{SizeBytes: size}, err
+	}
+	return StabilityResult{SizeBytes: size, Baseline: stabilitySeries(rs[0].bench),
+		DoCeph: stabilitySeries(rs[1].bench)}, nil
+}
+
+// stabilitySeries turns a run's per-second samples into MB/s with their
+// mean and coefficient of variation.
+func stabilitySeries(res BenchResult) StabilitySeries {
+	var s StabilitySeries
+	var sum, sq float64
+	for _, sample := range res.PerSecond {
+		v := float64(sample.Bytes) / 1e6
+		s.MBps = append(s.MBps, v)
+		sum += v
+	}
+	n := float64(len(s.MBps))
+	if n > 0 {
+		s.MeanMBps = sum / n
+		for _, v := range s.MBps {
+			d := v - s.MeanMBps
+			sq += d * d
 		}
-		var sum, sq float64
-		for _, s := range res.PerSecond {
-			v := float64(s.Bytes) / 1e6
-			m.dst.MBps = append(m.dst.MBps, v)
-			sum += v
-		}
-		n := float64(len(m.dst.MBps))
-		if n > 0 {
-			m.dst.MeanMBps = sum / n
-			for _, v := range m.dst.MBps {
-				d := v - m.dst.MeanMBps
-				sq += d * d
-			}
-			if n > 1 && m.dst.MeanMBps > 0 {
-				m.dst.StddevPct = math.Sqrt(sq/(n-1)) / m.dst.MeanMBps * 100
-			}
+		if n > 1 && s.MeanMBps > 0 {
+			s.StddevPct = math.Sqrt(sq/(n-1)) / s.MeanMBps * 100
 		}
 	}
-	return out, nil
+	return s
 }
 
 // StabilityTable renders the per-second series side by side with ASCII

@@ -57,66 +57,45 @@ func RunStreamingAblation(opts ExpOptions) ([]StreamingResult, error) {
 		opts.Threads = 4
 	}
 
-	type variant struct {
-		name   string
-		mode   Mode
-		size   int64
-		window int
-	}
-	var variants []variant
+	var arms []arm
 	for _, mode := range []Mode{Baseline, DoCeph} {
-		prefix := "baseline"
-		if mode == DoCeph {
-			prefix = "doceph"
-		}
 		for _, size := range StreamSizes {
-			variants = append(variants, variant{
-				name: fmt.Sprintf("%s %dM store-fwd", prefix, size>>20),
-				mode: mode, size: size,
-			})
-			for _, w := range StreamWindows {
-				variants = append(variants, variant{
-					name: fmt.Sprintf("%s %dM stream w=%d", prefix, size>>20, w),
-					mode: mode, size: size, window: w,
-				})
+			for _, w := range append([]int{0}, StreamWindows...) {
+				a := arm{name: fmt.Sprintf("%v %dM store-fwd", mode, size>>20),
+					cfg: ClusterConfig{Mode: mode}, bench: BenchConfig{ObjectBytes: size}}
+				if w > 0 {
+					a.name = fmt.Sprintf("%v %dM stream w=%d", mode, size>>20, w)
+					a.cfg.Messenger.Stream.Enable = true
+					a.cfg.Messenger.Stream.Window = w
+				}
+				arms = append(arms, a)
 			}
 		}
 	}
-
-	out := make([]StreamingResult, len(variants))
-	err := runParallel(len(variants), func(i int) error {
-		v := variants[i]
-		r, err := runWorkloadCfg(v.mode, Link100G, v.size, BenchConfig{}, opts,
-			func(c *ClusterConfig) {
-				if v.window > 0 {
-					c.Messenger.Stream.Enable = true
-					c.Messenger.Stream.Window = v.window
-				}
-			})
-		if err != nil {
-			return fmt.Errorf("streaming %q: %w", v.name, err)
-		}
-		res := StreamingResult{
-			Name: v.name, Mode: v.mode, ObjectBytes: v.size, Window: v.window,
-			AvgLat:   r.bench.AvgLatency,
-			P99:      r.bench.P99,
-			MBps:     r.bench.ThroughputBps() / 1e6,
-			HostUtil: r.hostUtil,
-		}
-		res.StreamWrites = r.streamWrites
-		res.PeakStagingBytes = r.peakStaging
-		if v.window > 0 && res.StreamWrites == 0 {
-			return fmt.Errorf("streaming %q: streaming enabled but no streamed writes recorded", v.name)
-		}
-		if v.window == 0 && res.StreamWrites != 0 {
-			return fmt.Errorf("streaming %q: store-and-forward arm recorded %d streamed writes",
-				v.name, res.StreamWrites)
-		}
-		out[i] = res
-		return nil
-	})
+	rs, err := runArms(opts, arms)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]StreamingResult, len(rs))
+	for i, r := range rs {
+		a := arms[i]
+		w := a.cfg.Messenger.Stream.Window
+		if w > 0 && r.streamWrites == 0 {
+			return nil, fmt.Errorf("streaming %q: streaming enabled but no streamed writes recorded", a.name)
+		}
+		if w == 0 && r.streamWrites != 0 {
+			return nil, fmt.Errorf("streaming %q: store-and-forward arm recorded %d streamed writes",
+				a.name, r.streamWrites)
+		}
+		out[i] = StreamingResult{
+			Name: a.name, Mode: a.cfg.Mode, ObjectBytes: a.bench.ObjectBytes, Window: w,
+			AvgLat:           r.bench.AvgLatency,
+			P99:              r.bench.P99,
+			MBps:             r.bench.ThroughputBps() / 1e6,
+			HostUtil:         r.hostUtil,
+			StreamWrites:     r.streamWrites,
+			PeakStagingBytes: r.peakStaging,
+		}
 	}
 	return out, nil
 }

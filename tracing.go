@@ -59,59 +59,20 @@ func RunTraceBreakdown(opts ExpOptions, size int64) (TraceBreakdownResult, error
 	if size == 0 {
 		size = 4 << 20
 	}
-	out := TraceBreakdownResult{SizeBytes: size}
-	for _, mode := range []Mode{Baseline, DoCeph} {
-		r, err := runTraced(mode, size, opts)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", mode, err)
-		}
-		if mode == Baseline {
-			out.Baseline = r
-		} else {
-			out.DoCeph = r
-		}
-	}
-	return out, nil
-}
-
-// runTraced builds a traced cluster, runs one write benchmark and folds
-// the span set into the run summary.
-func runTraced(mode Mode, size int64, opts ExpOptions) (TracedRun, error) {
-	cfg := ClusterConfig{Mode: mode, Seed: opts.Seed, Trace: true}
-	cfg.Bridge.Engine.Queues = opts.DMAQueues
-	cfg.OSD.OpShards = opts.OpShards
-	cfg.Messenger.Lanes = opts.lanes()
-	cfg.Bridge.Batch = opts.Batch
-	cl := NewCluster(cfg)
-	defer cl.Shutdown()
-	bench, err := RunBench(cl, BenchConfig{
-		Threads: opts.Threads, ObjectBytes: size,
-		Duration: opts.Duration, Warmup: opts.Warmup,
-	})
+	rs, err := runArms(opts, deploymentArms("trace", []int64{size}, ClusterConfig{Trace: true}, BenchConfig{}))
 	if err != nil {
-		return TracedRun{}, err
+		return TraceBreakdownResult{}, err
 	}
-	spans := cl.Tracer.Spans()
-	busy := make(map[string]Duration)
-	busy[cl.ClientCPU.Name()] = cl.ClientCPU.Stats().TotalBusy
-	for _, n := range cl.Nodes {
-		busy[n.HostCPU.Name()] = n.HostCPU.Stats().TotalBusy
-		if n.DPU != nil {
-			busy[n.DPU.CPU.Name()] = n.DPU.CPU.Stats().TotalBusy
+	traced := func(mode Mode, r runResult) TracedRun {
+		return TracedRun{
+			Mode: mode, Bench: r.bench, Spans: r.spans,
+			Stages:    trace.Aggregate(r.spans),
+			TracedCPU: trace.CPUByResource(r.spans),
+			Busy:      r.busy,
 		}
 	}
-	if err := trace.CheckInvariants(spans); err != nil {
-		return TracedRun{}, fmt.Errorf("trace invariants: %w", err)
-	}
-	if err := trace.CheckCPUConservation(spans, busy); err != nil {
-		return TracedRun{}, fmt.Errorf("trace cpu conservation: %w", err)
-	}
-	return TracedRun{
-		Mode: mode, Bench: bench, Spans: spans,
-		Stages:    trace.Aggregate(spans),
-		TracedCPU: trace.CPUByResource(spans),
-		Busy:      busy,
-	}, nil
+	return TraceBreakdownResult{SizeBytes: size,
+		Baseline: traced(Baseline, rs[0]), DoCeph: traced(DoCeph, rs[1])}, nil
 }
 
 // StageTable renders one deployment's per-stage breakdown.
